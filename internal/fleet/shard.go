@@ -583,13 +583,12 @@ func (c *campaign) noteCheckpoint(ck *snapshot.ShardCheckpoint) error {
 	return err
 }
 
-// persistLocked seals and atomically rewrites the manifest when the
+// persistLocked atomically rewrites the sealed manifest when the
 // campaign is durable. Callers hold c.mu.
 func (c *campaign) persistLocked() error {
 	if c.cfg.Dir == "" {
 		return nil
 	}
-	c.man.Seal()
 	return snapshot.WriteManifest(ManifestPath(c.cfg.Dir), c.man)
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"os"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"contiguitas/internal/core"
+	"contiguitas/internal/envelope"
 	"contiguitas/internal/snapshot"
 	"contiguitas/internal/supervise"
 )
@@ -214,8 +216,19 @@ func TestManifestTamperRejectedOnResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.edit(m) // after Seal: the self-digest no longer covers the edit
-			if err := snapshot.WriteManifest(ManifestPath(dir), m); err != nil {
+			// Re-encode the edited body under the original sealed header:
+			// the envelope digests no longer cover the edit.
+			tc.edit(m)
+			path := ManifestPath(dir)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body bytes.Buffer
+			if err := gob.NewEncoder(&body).Encode(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(data[:envelope.HeaderSize:envelope.HeaderSize], body.Bytes()...), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			_, err = RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Dir: dir, Resume: true})
@@ -227,7 +240,7 @@ func TestManifestTamperRejectedOnResume(t *testing.T) {
 }
 
 // TestResealedTamperQuarantinesShard covers the adversary who edits the
-// manifest and reseals it: the self-digest passes, but the shard
+// manifest and reseals it: the envelope passes, but the shard
 // checkpoint no longer matches the manifest record, so the shard's every
 // attempt fails verification and it is quarantined — its data never
 // enters the study.
@@ -242,7 +255,6 @@ func TestResealedTamperQuarantinesShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Shards[1].Chain ^= 0xdead
-	m.Seal()
 	if err := snapshot.WriteManifest(ManifestPath(dir), m); err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,11 @@
 //
 // Trust model. Cached bytes are never trusted on faith:
 //
-//   - the on-disk backend wraps every entry in a CTGCACH envelope with
-//     the snapshot package's temp-file-plus-rename write discipline and
-//     verifies magic, format version, key binding, a payload digest, and
-//     an envelope self-digest on every Get — a tampered, torn, or
-//     swapped file is rejected with ErrCorrupt, never decoded into
-//     results;
+//   - the on-disk backend seals every entry in a CTGCACH envelope
+//     (internal/envelope: schema and key in the header), writes it with
+//     vfs.WriteFileDurable, and on every Get verifies the envelope and
+//     the key binding — a tampered, torn, or swapped file is rejected
+//     with ErrCorrupt, never decoded into results;
 //   - an entry written under an older cache-schema version (the
 //     simulator's generative model changed) is internally intact but
 //     semantically stale and is rejected with ErrStaleSchema;
@@ -29,27 +28,25 @@
 package resultcache
 
 import (
-	"bytes"
 	"container/list"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"io/fs"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"contiguitas/internal/envelope"
 	"contiguitas/internal/vfs"
 )
 
 // Magic identifies an on-disk cache entry; FormatVersion is the envelope
 // format revision (distinct from the caller's cache-schema version,
 // which versions the *meaning* of payloads, not their framing).
+// Version 2 moved entries onto the sealed envelope.
 const (
 	Magic         = "CTGCACH"
-	FormatVersion = 1
+	FormatVersion = 2
 )
 
 // Typed lookup outcomes. ErrMiss is the only benign one; the other two
@@ -59,7 +56,8 @@ var (
 	ErrMiss = errors.New("resultcache: miss")
 	// ErrCorrupt reports an entry whose envelope failed verification —
 	// truncation, corruption, tampering, or a file stored under the
-	// wrong key. The entry must not be trusted.
+	// wrong key. The entry must not be trusted. Envelope failures also
+	// wrap envelope.ErrCorrupt.
 	ErrCorrupt = errors.New("resultcache: entry corrupt")
 	// ErrStaleSchema reports an intact entry written under a different
 	// cache-schema version: the simulator's generative model changed, so
@@ -86,45 +84,6 @@ type Cache interface {
 	Put(key uint64, payload []byte) error
 }
 
-// payloadDigest is the FNV-1a digest of the payload bytes.
-func payloadDigest(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
-}
-
-// entry is the CTGCACH on-disk envelope.
-type entry struct {
-	Magic   string
-	Version uint32
-	// Schema is the caller's cache-schema version (bumped whenever the
-	// generative model behind the payloads changes).
-	Schema uint32
-	// Key binds the entry to its content address; a file renamed over
-	// another key's path fails this check.
-	Key uint64
-	// PayloadHash digests Payload; SelfHash digests every header field
-	// plus PayloadHash, so editing any single field is detected.
-	PayloadHash uint64
-	SelfHash    uint64
-	Payload     []byte
-}
-
-// selfDigest computes the envelope self-digest over every field but
-// SelfHash itself.
-func (e *entry) selfDigest() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(e.Magic))
-	var buf [8]byte
-	for _, v := range []uint64{uint64(e.Version), uint64(e.Schema), e.Key, e.PayloadHash} {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
 // Dir is the durable backend: one CTGCACH file per key inside a
 // directory, written atomically and verified on every read. Safe for
 // concurrent use by any number of processes — atomic renames make
@@ -139,6 +98,9 @@ type Dir struct {
 func NewDir(dir string, schema uint32) *Dir {
 	return &Dir{dir: dir, schema: schema}
 }
+
+// Root returns the directory the cache is rooted at.
+func (d *Dir) Root() string { return d.dir }
 
 // EntryPath returns the file path an entry for key lives at.
 func (d *Dir) EntryPath(key uint64) string {
@@ -157,89 +119,58 @@ func (d *Dir) Get(key uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &entry{}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(e); err != nil {
-		return nil, fmt.Errorf("%w: decode %s: %v", ErrCorrupt, path, err)
+	h, payload, err := envelope.Open(data, Magic, FormatVersion)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w in %s", ErrCorrupt, err, path)
 	}
-	if e.Magic != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q in %s", ErrCorrupt, e.Magic, path)
-	}
-	if e.Version != FormatVersion {
-		return nil, fmt.Errorf("%w: format version %d (support %d) in %s",
-			ErrCorrupt, e.Version, FormatVersion, path)
-	}
-	if got := e.selfDigest(); got != e.SelfHash {
-		return nil, fmt.Errorf("%w: recomputed self-digest %016x, recorded %016x in %s",
-			ErrCorrupt, got, e.SelfHash, path)
-	}
-	if e.Key != key {
+	if h.Key != key {
 		return nil, fmt.Errorf("%w: entry for key %016x stored under %016x in %s",
-			ErrCorrupt, e.Key, key, path)
+			ErrCorrupt, h.Key, key, path)
 	}
-	if got := payloadDigest(e.Payload); got != e.PayloadHash {
-		return nil, fmt.Errorf("%w: payload digest %016x, recorded %016x in %s",
-			ErrCorrupt, got, e.PayloadHash, path)
-	}
-	if e.Schema != d.schema {
+	if h.Schema != d.schema {
 		return nil, fmt.Errorf("%w: entry schema %d, want %d in %s",
-			ErrStaleSchema, e.Schema, d.schema, path)
+			ErrStaleSchema, h.Schema, d.schema, path)
 	}
-	return e.Payload, nil
+	return payload, nil
 }
 
-// Put implements Cache: seal the envelope and write it with the full
+// Put implements Cache: seal the entry and write it with the full
 // durable-write discipline on the active FS — temp file, file fsync,
 // rename into place, directory fsync; without the directory fsync a
 // power loss after the rename could silently drop the entry (see
 // internal/vfs).
 func (d *Dir) Put(key uint64, payload []byte) error {
-	e := &entry{
-		Magic:       Magic,
-		Version:     FormatVersion,
-		Schema:      d.schema,
-		Key:         key,
-		PayloadHash: payloadDigest(payload),
-		Payload:     payload,
-	}
-	e.SelfHash = e.selfDigest()
-	return vfs.WriteDurable(vfs.Active(), d.EntryPath(key), func(w io.Writer) error {
-		if err := gob.NewEncoder(w).Encode(e); err != nil {
-			return fmt.Errorf("resultcache: encode: %w", err)
-		}
-		return nil
-	})
+	data := envelope.Seal(Magic, FormatVersion, d.schema, key, payload)
+	return vfs.WriteFileDurable(vfs.Active(), d.EntryPath(key), data)
 }
 
 // LRU is the in-process backend: a bounded map evicting the
 // least-recently-used entry, for sweeps that revisit configurations
-// within one process. Entries cannot rot in memory, so Get can only
-// miss or hit — the schema version is recorded per entry anyway to keep
-// the two backends interchangeable in tests.
+// within one process. Entries cannot rot in memory and the schema is
+// fixed for the cache's lifetime, so Get can only miss or hit.
 type LRU struct {
-	mu     sync.Mutex
-	cap    int
-	schema uint32
-	byKey  map[uint64]*list.Element
-	order  *list.List // front = most recent
+	mu    sync.Mutex
+	cap   int
+	byKey map[uint64]*list.Element
+	order *list.List // front = most recent
 }
 
 type lruEntry struct {
 	key     uint64
-	schema  uint32
 	payload []byte
 }
 
 // NewLRU returns an in-memory cache bounded to capacity entries
-// (minimum 1).
+// (minimum 1). The schema argument keeps the constructor parallel to
+// NewDir; a process-local cache never outlives its schema.
 func NewLRU(capacity int, schema uint32) *LRU {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &LRU{
-		cap:    capacity,
-		schema: schema,
-		byKey:  make(map[uint64]*list.Element),
-		order:  list.New(),
+		cap:   capacity,
+		byKey: make(map[uint64]*list.Element),
+		order: list.New(),
 	}
 }
 
@@ -252,11 +183,7 @@ func (c *LRU) Get(key uint64) ([]byte, error) {
 		return nil, ErrMiss
 	}
 	c.order.MoveToFront(el)
-	e := el.Value.(*lruEntry)
-	if e.schema != c.schema {
-		return nil, fmt.Errorf("%w: entry schema %d, want %d", ErrStaleSchema, e.schema, c.schema)
-	}
-	return e.payload, nil
+	return el.Value.(*lruEntry).payload, nil
 }
 
 // Put implements Cache.
@@ -267,11 +194,10 @@ func (c *LRU) Put(key uint64, payload []byte) error {
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		el.Value.(*lruEntry).payload = cp
-		el.Value.(*lruEntry).schema = c.schema
 		c.order.MoveToFront(el)
 		return nil
 	}
-	c.byKey[key] = c.order.PushFront(&lruEntry{key: key, schema: c.schema, payload: cp})
+	c.byKey[key] = c.order.PushFront(&lruEntry{key: key, payload: cp})
 	for len(c.byKey) > c.cap {
 		last := c.order.Back()
 		c.order.Remove(last)

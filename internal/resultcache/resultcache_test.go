@@ -37,8 +37,8 @@ func TestDirRoundTrip(t *testing.T) {
 }
 
 // TestDirRejectsEveryByteFlip corrupts the entry file at several offsets
-// and requires every flip to be refused as ErrCorrupt (a gob break, a
-// broken digest, or a broken self-digest — never trusted bytes).
+// and requires every flip to be refused as ErrCorrupt (a broken magic,
+// version, length, or envelope digest — never trusted bytes).
 func TestDirRejectsEveryByteFlip(t *testing.T) {
 	c := NewDir(t.TempDir(), 1)
 	payload := bytes.Repeat([]byte("abcdefgh"), 32)

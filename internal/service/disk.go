@@ -3,7 +3,7 @@
 // per-cell canonical result journal, and the merged result.
 //
 //	<root>/campaigns/<id>/
-//	    record.ctgjob        sealed campaign record (CTGCAMP gob)
+//	    record.ctgjob        sealed campaign record (CTGCAMP envelope)
 //	    cell-000/            fleet state dir for grid cell 0
 //	        campaign.ctgmani
 //	        shard-000.ctgshrd ...
@@ -16,9 +16,9 @@
 // Every write goes through the vfs durable-write discipline (temp file,
 // fsync, rename, parent-dir fsync), so a file's existence is its
 // completion certificate: recovery never has to guess whether
-// cell-000.bin is whole. The record itself carries an FNV self-digest
-// over its gob payload; a torn or edited record decodes to
-// ErrCorruptRecord, never to a silently wrong campaign. All I/O goes
+// cell-000.bin is whole. The record is the campaign's gob body in the
+// sealed envelope (internal/envelope); a torn or edited record decodes
+// to ErrCorruptRecord, never to a silently wrong campaign. All I/O goes
 // through the active FS, putting every store operation under
 // storage-fault injection.
 package service
@@ -28,19 +28,20 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io/fs"
 	"path/filepath"
 	"sort"
 	"sync"
 
+	"contiguitas/internal/envelope"
 	"contiguitas/internal/vfs"
 )
 
-// Record format constants.
+// Record format constants. RecordVersion 2 moved the record onto the
+// sealed envelope.
 const (
 	RecordMagic   = "CTGCAMP"
-	RecordVersion = 1
+	RecordVersion = 2
 	recordFile    = "record.ctgjob"
 	resultFile    = "result.bin"
 	// QuarantineDir is the directory (under the store root) corrupt
@@ -52,15 +53,6 @@ const (
 	// journal, so a probe honestly reports the journal's health.
 	probeFile = "probe.bin"
 )
-
-// diskRecord is the on-disk envelope: the campaign gob-encoded as an
-// opaque payload plus a digest over it, mirroring the CTGSHRD shape.
-type diskRecord struct {
-	Magic       string
-	Version     uint32
-	PayloadHash uint64
-	Payload     []byte
-}
 
 // Disk is the durable Store backend rooted at a directory.
 type Disk struct {
@@ -101,45 +93,21 @@ func EncodeRecord(c *Campaign) ([]byte, error) {
 	if err := gob.NewEncoder(&payload).Encode(c); err != nil {
 		return nil, fmt.Errorf("service: encode campaign %s: %w", c.ID, err)
 	}
-	h := fnv.New64a()
-	h.Write(payload.Bytes())
-	rec := diskRecord{
-		Magic:       RecordMagic,
-		Version:     RecordVersion,
-		PayloadHash: h.Sum64(),
-		Payload:     payload.Bytes(),
-	}
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(&rec); err != nil {
-		return nil, fmt.Errorf("service: encode record %s: %w", c.ID, err)
-	}
-	return out.Bytes(), nil
+	return envelope.Seal(RecordMagic, RecordVersion, 0, 0, payload.Bytes()), nil
 }
 
 // DecodeRecord verifies and decodes CTGCAMP envelope bytes. Any
-// truncation, bit flip, or edit fails a digest or the decoder and maps
-// to ErrCorruptRecord — arbitrary input must never panic or decode into
-// a silently wrong campaign (FuzzCampaignRecordDecode holds it to
+// truncation, bit flip, or edit fails the envelope or the decoder and
+// maps to ErrCorruptRecord — arbitrary input must never panic or decode
+// into a silently wrong campaign (FuzzCampaignRecordDecode holds it to
 // that).
 func DecodeRecord(data []byte) (*Campaign, error) {
-	var rec diskRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrCorruptRecord, err)
-	}
-	if rec.Magic != RecordMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptRecord, rec.Magic)
-	}
-	if rec.Version != RecordVersion {
-		return nil, fmt.Errorf("%w: version %d (support %d)", ErrCorruptRecord, rec.Version, RecordVersion)
-	}
-	h := fnv.New64a()
-	h.Write(rec.Payload)
-	if got := h.Sum64(); got != rec.PayloadHash {
-		return nil, fmt.Errorf("%w: payload digest %016x, recorded %016x",
-			ErrCorruptRecord, got, rec.PayloadHash)
+	_, payload, err := envelope.Open(data, RecordMagic, RecordVersion)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptRecord, err)
 	}
 	c := &Campaign{}
-	if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(c); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(c); err != nil {
 		return nil, fmt.Errorf("%w: decode payload: %v", ErrCorruptRecord, err)
 	}
 	return c, nil

@@ -53,9 +53,6 @@ type ScrubConfig struct {
 	// Cache, when set, is a result-cache directory to scrub alongside
 	// the store.
 	Cache *resultcache.Dir
-	// CacheDir is the directory Cache reads from (the Dir type does not
-	// expose it); required when Cache is set.
-	CacheDir string
 	// Sched, when set, receives heal requeues, counter updates, and
 	// tracepoints.
 	Sched *Scheduler
@@ -214,7 +211,7 @@ func (s *scrubber) scrubCampaign(id string) {
 // (under cache/) so all evidence lands in one place. The healed state
 // is simply a miss: the next computation of that key overwrites it.
 func (s *scrubber) scrubCache() {
-	ents, err := vfs.Active().ReadDir(s.cfg.CacheDir)
+	ents, err := vfs.Active().ReadDir(s.cfg.Cache.Root())
 	if err != nil {
 		return
 	}
@@ -232,7 +229,7 @@ func (s *scrubber) scrubCache() {
 			ferr := fmt.Errorf("%w: %s: %v", ErrScrubQuarantine, name, err)
 			qdir := filepath.Join(s.cfg.Disk.root, QuarantineDir, "cache")
 			if merr := vfs.Active().MkdirAll(qdir, 0o755); merr == nil {
-				if merr := vfs.Active().Rename(filepath.Join(s.cfg.CacheDir, name), filepath.Join(qdir, name)); merr != nil {
+				if merr := vfs.Active().Rename(filepath.Join(s.cfg.Cache.Root(), name), filepath.Join(qdir, name)); merr != nil {
 					ferr = fmt.Errorf("%w (quarantine move failed: %v)", ferr, merr)
 				}
 			}

@@ -2,19 +2,19 @@
 // supervised sharded campaign (internal/supervise driving internal/fleet).
 //
 // A campaign directory holds one CTGMANI manifest plus one CTGSHRD
-// checkpoint file per shard. Both reuse the CTGSNAP machinery: atomic
-// temp-file-plus-rename writes, canonical FNV digests over every field,
-// hash-chained shard checkpoints (chain_n = mix(chain_{n-1}, payload
-// digest)), and typed sentinel errors for every way a file can lie.
+// checkpoint file per shard. Both are gob bodies in the sealed envelope
+// (internal/envelope), written atomically like CTGSNAP; shard
+// checkpoints are hash-chained (chain_n = mix(chain_{n-1}, payload
+// digest)), and every way a file can lie has a typed sentinel.
 //
-// Trust model on resume, mirroring the envelope rules:
+// Trust model on resume, mirroring the snapshot rules:
 //
-//   - a shard checkpoint must carry the campaign fingerprint, an intact
-//     payload digest, and a chain value that recomputes from its fields
-//     (ErrShardCheckpoint otherwise);
-//   - the manifest must recompute to its own self-digest — flipping a
-//     chain value, rolling back an attempt count, or editing a status
-//     byte is detected before any shard state is trusted
+//   - a shard checkpoint must open as a CTGSHRD envelope and carry the
+//     campaign fingerprint, an intact payload digest, and a chain value
+//     that recomputes from its fields (ErrShardCheckpoint otherwise);
+//   - the manifest must open as a CTGMANI envelope — flipping a chain
+//     value, rolling back an attempt count, or editing a status byte
+//     fails the envelope digest before any shard state is trusted
 //     (ErrManifestTamper);
 //   - manifest and shard checkpoint must agree on (seq, chain, done) —
 //     a stale or swapped checkpoint file is rejected (ErrShardMismatch);
@@ -23,7 +23,6 @@
 package snapshot
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -32,20 +31,23 @@ import (
 	"contiguitas/internal/vfs"
 )
 
-// Magics and versions of the campaign formats.
+// Magics and version of the campaign formats. Version 2 moved both onto
+// the sealed envelope, dropping the Magic/Version body fields and the
+// manifest self-digest.
 const (
 	ShardMagic      = "CTGSHRD"
 	ManifestMagic   = "CTGMANI"
-	ManifestVersion = 1
+	ManifestVersion = 2
 )
 
 // Typed campaign decode/resume failures.
 var (
-	// ErrManifestTamper reports a manifest whose recorded self-digest
-	// disagrees with its fields — corruption or tampering.
+	// ErrManifestTamper reports a manifest that fails its envelope or
+	// its shard indexing — corruption or tampering.
 	ErrManifestTamper = errors.New("snapshot: manifest integrity check failed")
-	// ErrShardCheckpoint reports a shard checkpoint whose payload digest
-	// or chain value does not recompute from its contents.
+	// ErrShardCheckpoint reports a shard checkpoint that fails its
+	// envelope, or whose payload digest or chain value does not
+	// recompute from its contents.
 	ErrShardCheckpoint = errors.New("snapshot: shard checkpoint corrupt")
 	// ErrShardMismatch reports a shard checkpoint that is internally
 	// consistent but disagrees with the manifest record for its shard —
@@ -66,8 +68,6 @@ var (
 // owner-defined (the fleet stores its gob-encoded samples); the
 // checkpoint layer sees only bytes and digests them.
 type ShardCheckpoint struct {
-	Magic   string
-	Version uint32
 	// Campaign fingerprints the campaign configuration (FNV over the
 	// config fields); checkpoints never resume across configurations.
 	Campaign uint64
@@ -102,8 +102,6 @@ func (c *ShardCheckpoint) shardMix() uint64 {
 // Seal fills the digest fields from the payload and the previous chain
 // value, returning the new chain value.
 func (c *ShardCheckpoint) Seal(prevChain uint64) uint64 {
-	c.Magic = ShardMagic
-	c.Version = ManifestVersion
 	h := fnv.New64a()
 	h.Write(c.Payload)
 	c.PayloadHash = h.Sum64()
@@ -112,24 +110,18 @@ func (c *ShardCheckpoint) Seal(prevChain uint64) uint64 {
 	return c.ChainHash
 }
 
-// WriteShard encodes the sealed checkpoint to path atomically and
-// durably (temp file, file fsync, rename, parent-directory fsync).
+// WriteShard writes the checkpoint to path as a sealed CTGSHRD file,
+// atomically and durably.
 func WriteShard(path string, c *ShardCheckpoint) error {
-	return writeDurable(path, c)
+	return writeSealed(path, ShardMagic, ManifestVersion, c)
 }
 
-// ReadShard decodes and verifies the shard checkpoint at path: magic,
-// version, payload digest, and chain recomputation are all checked.
+// ReadShard opens and verifies the shard checkpoint at path: the
+// envelope, the payload digest, and the chain recomputation.
 func ReadShard(path string) (*ShardCheckpoint, error) {
 	c := &ShardCheckpoint{}
-	if err := readGob(path, c); err != nil {
+	if err := readSealed(path, ShardMagic, ManifestVersion, ErrShardCheckpoint, c); err != nil {
 		return nil, err
-	}
-	if c.Magic != ShardMagic {
-		return nil, fmt.Errorf("%w: bad magic %q in %s", ErrShardCheckpoint, c.Magic, path)
-	}
-	if c.Version != ManifestVersion {
-		return nil, fmt.Errorf("%w: version %d (support %d) in %s", ErrShardCheckpoint, c.Version, ManifestVersion, path)
 	}
 	h := fnv.New64a()
 	h.Write(c.Payload)
@@ -173,52 +165,21 @@ type ManifestShard struct {
 	Status   ShardStatus
 }
 
-// Manifest is the campaign's durable index: one record per shard plus a
-// self-digest over every field.
+// Manifest is the campaign's durable index: one record per shard.
 type Manifest struct {
-	Magic    string
-	Version  uint32
 	Campaign uint64
 	Shards   []ManifestShard
-	SelfHash uint64
 }
 
-// hash computes the manifest self-digest over every field but SelfHash.
-func (m *Manifest) hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(vs ...uint64) {
-		for _, v := range vs {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	}
-	h.Write([]byte(m.Magic))
-	w(uint64(m.Version), m.Campaign, uint64(len(m.Shards)))
-	for _, s := range m.Shards {
-		w(uint64(s.Shard), s.Units, s.Done, s.Seq, s.Chain, s.Attempts, uint64(s.Status))
-	}
-	return h.Sum64()
-}
-
-// Seal stamps magic, version, and the self-digest.
-func (m *Manifest) Seal() {
-	m.Magic = ManifestMagic
-	m.Version = ManifestVersion
-	m.SelfHash = m.hash()
-}
-
-// WriteManifest encodes the sealed manifest to path atomically and
-// durably (temp file, file fsync, rename, parent-directory fsync).
+// WriteManifest writes the manifest to path as a sealed CTGMANI file,
+// atomically and durably.
 func WriteManifest(path string, m *Manifest) error {
-	return writeDurable(path, m)
+	return writeSealed(path, ManifestMagic, ManifestVersion, m)
 }
 
-// ReadManifest decodes and verifies the manifest at path. Any field
-// edit — a flipped chain digest, a rolled-back attempt count, a changed
-// status — fails the self-digest and is rejected with ErrManifestTamper.
+// ReadManifest opens and verifies the manifest at path. Any byte edit —
+// a flipped chain digest, a rolled-back attempt count, a changed status
+// — fails the envelope and is rejected with ErrManifestTamper.
 func ReadManifest(path string) (*Manifest, error) {
 	switch fi, err := vfs.Active().Stat(path); {
 	case errors.Is(err, fs.ErrNotExist):
@@ -231,18 +192,8 @@ func ReadManifest(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: %s is empty", ErrNoManifest, path)
 	}
 	m := &Manifest{}
-	if err := readGob(path, m); err != nil {
+	if err := readSealed(path, ManifestMagic, ManifestVersion, ErrManifestTamper, m); err != nil {
 		return nil, err
-	}
-	if m.Magic != ManifestMagic {
-		return nil, fmt.Errorf("%w: bad magic %q in %s", ErrManifestTamper, m.Magic, path)
-	}
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("%w: version %d (support %d) in %s", ErrManifestTamper, m.Version, ManifestVersion, path)
-	}
-	if got := m.hash(); got != m.SelfHash {
-		return nil, fmt.Errorf("%w: recomputed digest %016x, recorded %016x in %s",
-			ErrManifestTamper, got, m.SelfHash, path)
 	}
 	for i, s := range m.Shards {
 		if s.Shard != i {
@@ -269,20 +220,6 @@ func VerifyShardAgainstManifest(m *Manifest, c *ShardCheckpoint) error {
 	if rec.Seq != c.Seq || rec.Chain != c.ChainHash || rec.Done != c.Done {
 		return fmt.Errorf("%w: shard %d checkpoint (seq %d chain %016x done %d), manifest (seq %d chain %016x done %d)",
 			ErrShardMismatch, c.Shard, c.Seq, c.ChainHash, c.Done, rec.Seq, rec.Chain, rec.Done)
-	}
-	return nil
-}
-
-// readGob decodes one gob value from path, mapping decode failures to
-// plain errors (never panics; arbitrary bytes are rejected).
-func readGob(path string, v any) error {
-	f, err := vfs.Active().Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(v); err != nil {
-		return fmt.Errorf("snapshot: decode %s: %w", path, err)
 	}
 	return nil
 }

@@ -1,9 +1,14 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"contiguitas/internal/envelope"
 )
 
 func shardCkpt(campaign uint64, shard int, seq, done uint64, payload []byte, prev uint64) *ShardCheckpoint {
@@ -70,8 +75,25 @@ func sealedManifest(campaign uint64, shards int) *Manifest {
 	for i := range m.Shards {
 		m.Shards[i] = ManifestShard{Shard: i, Units: 10, Done: uint64(i), Seq: uint64(i), Chain: uint64(1000 + i), Attempts: uint64(1 + i)}
 	}
-	m.Seal()
 	return m
+}
+
+// spliceBody replaces the gob body of the sealed file at path with v's
+// encoding while keeping the original header — an edit made without
+// resealing, which the envelope must catch.
+func spliceBody(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data[:envelope.HeaderSize:envelope.HeaderSize], body.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -103,11 +125,13 @@ func TestManifestTamperDetected(t *testing.T) {
 	}
 	for _, tc := range tamper {
 		m := sealedManifest(7, 3)
-		tc.edit(m) // after Seal: SelfHash no longer covers the edit
 		if err := WriteManifest(path, m); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadManifest(path); !errors.Is(err, ErrManifestTamper) {
+		tc.edit(m)
+		spliceBody(t, path, m) // the sealed header no longer covers the edit
+		_, err := ReadManifest(path)
+		if !errors.Is(err, ErrManifestTamper) || !errors.Is(err, envelope.ErrCorrupt) {
 			t.Fatalf("%s -> %v, want ErrManifestTamper", tc.name, err)
 		}
 	}
@@ -115,7 +139,6 @@ func TestManifestTamperDetected(t *testing.T) {
 	// Shard records must be indexed by position even when resealed.
 	m := sealedManifest(7, 3)
 	m.Shards[0].Shard = 2
-	m.Seal()
 	if err := WriteManifest(path, m); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +152,6 @@ func TestVerifyShardAgainstManifest(t *testing.T) {
 	ck := shardCkpt(9, 1, 3, 5, []byte("p"), 77)
 	m.Shards[0] = ManifestShard{Shard: 0}
 	m.Shards[1] = ManifestShard{Shard: 1, Units: 8, Done: 5, Seq: 3, Chain: ck.ChainHash}
-	m.Seal()
 
 	if err := VerifyShardAgainstManifest(m, ck); err != nil {
 		t.Fatalf("agreeing checkpoint rejected: %v", err)

@@ -4,15 +4,14 @@
 // (internal/fault), bound together with a canonical state hash and a
 // per-checkpoint chain digest.
 //
-// Crash consistency. Envelopes are written to a same-directory temp
-// file and renamed over the target only after a successful encode and
-// close, so the file at the checkpoint path is always either absent,
-// the previous complete checkpoint, or the new complete checkpoint —
-// never a torn write. Decoding re-verifies the magic, the version, the
-// state hash (recomputed from the decoded machine state), and the chain
-// digest (recomputed from PrevChainHash and the state hash); any
-// mismatch — truncation, corruption, or a hand-edited field — is
-// rejected with a typed error.
+// Crash consistency. A checkpoint is gob-encoded, sealed by
+// internal/envelope and written with vfs.WriteFileDurable, so the file
+// at the checkpoint path is always either absent, the previous complete
+// checkpoint, or the new complete checkpoint — never a torn write.
+// Decoding verifies the envelope, then the state hash (recomputed from
+// the decoded machine state) and the chain digest (recomputed from
+// PrevChainHash and the state hash); any mismatch — truncation,
+// corruption, or a hand-edited field — is rejected with a typed error.
 //
 // Hash-chain semantics. Each checkpoint's StateHash is the canonical
 // digest of the full machine (kernel state hash extended with the
@@ -27,13 +26,14 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 
+	"contiguitas/internal/envelope"
 	"contiguitas/internal/fault"
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/vfs"
@@ -50,12 +50,16 @@ import (
 //	    PressureState (gate, gate PSI tracker, escalation profile, OOM
 //	    history), runner OOMBackoffUntil/OOMKillsTaken, and the nine
 //	    pressure counters in the kernel counter block.
+//	3 — sealed-envelope framing (internal/envelope); the Magic and
+//	    Version fields left the gob body.
 const (
 	Magic   = "CTGSNAP"
-	Version = 2
+	Version = 3
 )
 
-// Typed decode failures.
+// Typed decode failures. Envelope failures surface as ErrBadMagic,
+// ErrBadVersion, or ErrHashMismatch, each also wrapping
+// envelope.ErrCorrupt.
 var (
 	// ErrBadMagic reports a file that is not a contiguitas snapshot.
 	ErrBadMagic = errors.New("snapshot: bad magic")
@@ -75,10 +79,8 @@ type Machine struct {
 	Faults *fault.InjectorState
 }
 
-// Envelope is the on-disk snapshot format.
+// Envelope is the CTGSNAP payload.
 type Envelope struct {
-	Magic   string
-	Version uint32
 	// Seq numbers checkpoints within a run (0-based); Tick is the
 	// virtual time the machine was quiesced at.
 	Seq  uint64
@@ -192,35 +194,35 @@ func HashMachine(m *Machine) uint64 {
 // Seal fills an envelope's hash fields from its machine state and the
 // previous chain value, returning the new chain value.
 func (e *Envelope) Seal(prevChain uint64) uint64 {
-	e.Magic = Magic
-	e.Version = Version
 	e.StateHash = HashMachine(&e.Machine)
 	e.PrevChainHash = prevChain
 	e.ChainHash = mix(prevChain, e.StateHash)
 	return e.ChainHash
 }
 
-// Write encodes the envelope to path atomically and durably (temp file,
-// file fsync, rename, parent-directory fsync — see fsync.go).
+// Write seals the envelope and writes it to path atomically and durably
+// (see vfs.WriteDurable).
 func Write(path string, e *Envelope) error {
-	return writeDurable(path, e)
+	return writeSealed(path, Magic, Version, e)
 }
 
-// Decode decodes and verifies an envelope from an arbitrary reader:
-// magic, version, and both hash fields are checked against the decoded
-// state before the envelope is handed back. Arbitrary byte streams are
-// rejected with an error, never a panic — the fuzz target for the
-// decode path leans on this contract.
-func Decode(rd io.Reader) (*Envelope, error) {
+// Decode verifies and decodes a sealed CTGSNAP file: the envelope
+// first, then both hash fields against the decoded state. Arbitrary
+// bytes are rejected with an error, never a panic — the fuzz target for
+// the decode path leans on this contract.
+func Decode(data []byte) (*Envelope, error) {
+	_, payload, err := envelope.Open(data, Magic, Version)
+	switch {
+	case errors.Is(err, envelope.ErrBadMagic):
+		return nil, fmt.Errorf("%w: %w", ErrBadMagic, err)
+	case errors.Is(err, envelope.ErrBadVersion):
+		return nil, fmt.Errorf("%w: %w", ErrBadVersion, err)
+	case err != nil:
+		return nil, fmt.Errorf("%w: %w", ErrHashMismatch, err)
+	}
 	e := &Envelope{}
-	if err := gob.NewDecoder(rd).Decode(e); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(e); err != nil {
 		return nil, fmt.Errorf("snapshot: decode: %w", err)
-	}
-	if e.Magic != Magic {
-		return nil, fmt.Errorf("%w: %q", ErrBadMagic, e.Magic)
-	}
-	if e.Version != Version {
-		return nil, fmt.Errorf("%w: %d (support %d)", ErrBadVersion, e.Version, Version)
 	}
 	if e.Machine.Kernel == nil {
 		return nil, errors.New("snapshot: envelope carries no kernel state")
@@ -236,18 +238,45 @@ func Decode(rd io.Reader) (*Envelope, error) {
 	return e, nil
 }
 
-// Read decodes and verifies the envelope at path (see Decode). The
-// open goes through the active FS so injected read faults and bit-rot
-// land on the verification path that exists to catch them.
+// Read decodes and verifies the snapshot at path (see Decode). The read
+// goes through the active FS so injected read faults and bit-rot land
+// on the verification path that exists to catch them.
 func Read(path string) (*Envelope, error) {
-	f, err := vfs.Active().Open(path)
+	data, err := vfs.Active().ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	e, err := Decode(f)
+	e, err := Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("%w in %s", err, path)
 	}
 	return e, nil
+}
+
+// writeSealed gob-encodes v, seals it under magic and version, and
+// writes it to path with one durable write.
+func writeSealed(path, magic string, version uint32, v any) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return fmt.Errorf("snapshot: encode %s: %w", path, err)
+	}
+	return vfs.WriteFileDurable(vfs.Active(), path, envelope.Seal(magic, version, 0, 0, buf.Bytes()))
+}
+
+// readSealed opens the sealed file at path and gob-decodes its payload
+// into v. Envelope and decode failures are wrapped in sentinel; I/O
+// errors (fs.ErrNotExist included) pass through unwrapped.
+func readSealed(path, magic string, version uint32, sentinel error, v any) error {
+	data, err := vfs.Active().ReadFile(path)
+	if err != nil {
+		return err
+	}
+	_, payload, err := envelope.Open(data, magic, version)
+	if err == nil {
+		err = gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w in %s", sentinel, err, path)
+	}
+	return nil
 }

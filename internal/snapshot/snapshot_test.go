@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"contiguitas/internal/envelope"
 	"contiguitas/internal/fault"
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/stats"
@@ -194,27 +195,25 @@ func TestReadRejectsTampering(t *testing.T) {
 		t.Fatalf("clean snapshot rejected: %v", err)
 	}
 
-	e := seal()
-	e.Magic = "NOTASNAP"
+	// A body sealed under another format's identity is refused before
+	// its payload is trusted.
 	p := filepath.Join(dir, "magic.bin")
-	if err := Write(p, e); err != nil {
+	if err := writeSealed(p, "NOTASNAP", Version, seal()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(p); !errors.Is(err, ErrBadMagic) {
+	if _, err := Read(p); !errors.Is(err, ErrBadMagic) || !errors.Is(err, envelope.ErrCorrupt) {
 		t.Fatalf("bad magic: got %v", err)
 	}
 
-	e = seal()
-	e.Version = 99
 	p = filepath.Join(dir, "version.bin")
-	if err := Write(p, e); err != nil {
+	if err := writeSealed(p, Magic, 99, seal()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(p); !errors.Is(err, ErrBadVersion) {
+	if _, err := Read(p); !errors.Is(err, ErrBadVersion) || !errors.Is(err, envelope.ErrCorrupt) {
 		t.Fatalf("bad version: got %v", err)
 	}
 
-	e = seal()
+	e := seal()
 	e.Machine.Kernel.Tick++ // state edited after sealing
 	p = filepath.Join(dir, "state.bin")
 	if err := Write(p, e); err != nil {

@@ -124,6 +124,17 @@ func SetDefault(f FS) (restore func()) {
 // parent directory. A failure at any step removes the temp file and
 // leaves the previous complete version of path (or nothing) in place —
 // never a torn target.
+//
+// Every sealed on-disk format (internal/envelope) and every service
+// journal file is written this way. Temp-file-plus-rename alone
+// guarantees the target path never holds a torn file, but not that the
+// rename survives power loss: the new directory entry lives in the
+// parent directory's pages, and until those are flushed a crash can
+// resurrect the old file (or no file at all) even though the rename
+// "succeeded". Hence the file fsync before the rename and the
+// directory fsync after it. Filesystems that cannot fsync a directory
+// handle degrade gracefully (see FS.SyncDir): the rename is still
+// atomic, only the power-loss guarantee they never offered is lost.
 func WriteDurable(fsys FS, path string, fill func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	if dir != "." && dir != "" {
