@@ -22,15 +22,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"text/tabwriter"
 
 	"contiguitas"
 	"contiguitas/internal/cli"
 	"contiguitas/internal/fleet"
 	"contiguitas/internal/mem"
+	"contiguitas/internal/obsv"
 	"contiguitas/internal/prof"
 	"contiguitas/internal/resultcache"
+	"contiguitas/internal/service"
+	"contiguitas/internal/stats"
 )
+
+// obsvHandle is the -serve plane; nil without the flag, and every use
+// of it is nil-safe.
+var obsvHandle *obsv.Handle
 
 func main() {
 	servers := flag.Int("servers", 200, "number of servers to sample")
@@ -69,15 +77,18 @@ func main() {
 		// fresh study — that reads as "resumed fine" to the caller.
 		cli.Usagef("fleetscan: -resume needs -soak (campaign state directory) or -trace (representative-server snapshot)")
 	}
+	d, err := service.ParseDesign(*design)
+	if err != nil {
+		cli.Usagef("fleetscan: %v", err)
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	cli.Check(err)
 	defer stopProf()
 
-	if *serve != "" {
-		startObsv(*serve)
-		defer stopObsv()
-	}
+	obsvHandle, err = obsv.MountCLI(*serve)
+	cli.Check(err)
+	defer obsvHandle.Close()
 
 	cfg := contiguitas.DefaultFleetConfig()
 	cfg.Servers = *servers
@@ -86,7 +97,7 @@ func main() {
 	cfg.TicksMax = *maxTicks
 	cfg.Seed = *seed
 	cfg.Shards = *shards
-	cfg.Design = parseDesignName(*design)
+	cfg.Design = d
 
 	// The shard result cache: plain runs and sweeps share it; -no-cache
 	// wins over -cache-dir so scripts can flip one switch for A/B runs.
@@ -96,13 +107,11 @@ func main() {
 	}
 
 	if *sweep {
-		runSweep(cfg, sweepOptions{
-			designs: splitCSV(*sweepDesigns, "-sweep-designs"),
-			memsMB:  parseMems(*sweepMems),
-			jitters: parseJitters(*sweepJitters),
-			out:     *sweepOut,
-			cache:   cache,
-		})
+		spec := campaignSpec("sweep", cfg)
+		spec.Designs = splitCSV(*sweepDesigns, "-sweep-designs", func(s string) (string, error) { return s, nil })
+		spec.MemsMiB = splitCSV(*sweepMems, "-sweep-mems", func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) })
+		spec.Jitters = splitCSV(*sweepJitters, "-sweep-jitters", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+		runSweep(spec, *sweepOut, cache)
 		return
 	}
 
@@ -121,18 +130,15 @@ func main() {
 		return
 	}
 
-	fmt.Printf("scanning %d servers of %d MiB (%s design)...\n", cfg.Servers, *memMB, *design)
-	var s *contiguitas.FleetStudy
-	if cache != nil {
-		res := runCampaign("study", cfg, cache)
-		s = res.Study
-		fmt.Println(cacheSummary(res.CacheHits, res.CacheMisses, res.CacheRejects))
-	} else {
-		s = contiguitas.RunFleet(cfg)
-		// State the cache mode explicitly so a -no-cache run is
-		// unambiguous next to a cached run's hits/misses line.
-		fmt.Println("cache: disabled")
-	}
+	spec := campaignSpec("study", cfg)
+	spec.Designs = []string{*design}
+	spec.MemsMiB = []uint64{*memMB}
+	spec.Jitters = []float64{cfg.JitterFrac}
+	var s *fleet.Study
+	st := runCampaign(spec, cache,
+		fmt.Sprintf("scanning %d servers of %d MiB (%s design)...\n", cfg.Servers, *memMB, *design),
+		func(_ service.Cell, cell *fleet.Study) { s = cell })
+	fmt.Println(cacheLine(st, cache))
 
 	if *trace {
 		if err := traceRepresentative(cfg, *maxTicks, *traceOut, *metricsOut, *ckptEvery, *ckptOut, *resume); err != nil {
@@ -140,43 +146,14 @@ func main() {
 		}
 	}
 
-	orders := []int{mem.Order2M, mem.Order4M, mem.Order32M, mem.Order1G}
-	names := map[int]string{mem.Order2M: "2MB", mem.Order4M: "4MB", mem.Order32M: "32MB", mem.Order1G: "1GB"}
-
 	fmt.Println("\n== Figure 4: CDF of servers vs contiguity (fraction of free memory) ==")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprint(w, "contig >=\t")
-	for _, o := range orders {
-		fmt.Fprintf(w, "%s\t", names[o])
-	}
-	fmt.Fprintln(w)
-	for _, x := range []float64{0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30} {
-		fmt.Fprintf(w, "%.0f%%\t", x*100)
-		for _, o := range orders {
-			// CDF of servers whose contiguity is at most x.
-			fmt.Fprintf(w, "%.2f\t", s.ContigCDF(o).At(x))
-		}
-		fmt.Fprintln(w)
-	}
-	w.Flush()
+	// CDF of servers whose contiguity is at most x.
+	cdfTable("contig >=", fig4X, s.ContigCDF)
 	fmt.Printf("servers with zero 2MB contiguity: %.0f%% (paper: 23%%)\n", s.NoContigFraction(mem.Order2M)*100)
 	fmt.Printf("servers with zero 1GB contiguity: %.0f%% (paper: ~100%%)\n", s.NoContigFraction(mem.Order1G)*100)
 
 	fmt.Println("\n== Figure 5: CDF of servers vs unmovable blocks (fraction of memory) ==")
-	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprint(w, "unmovable <=\t")
-	for _, o := range orders {
-		fmt.Fprintf(w, "%s\t", names[o])
-	}
-	fmt.Fprintln(w)
-	for _, x := range []float64{0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0} {
-		fmt.Fprintf(w, "%.0f%%\t", x*100)
-		for _, o := range orders {
-			fmt.Fprintf(w, "%.2f\t", s.UnmovCDF(o).At(x))
-		}
-		fmt.Fprintln(w)
-	}
-	w.Flush()
+	cdfTable("unmovable <=", fig5X, s.UnmovCDF)
 	fmt.Printf("median unmovable 2MB blocks: %.0f%% of memory (paper: 34%%)\n",
 		s.MedianUnmovBlockFrac(mem.Order2M)*100)
 	fmt.Printf("median unmovable 4KB frames: %.1f%% of memory (paper: 7.6%%)\n",
@@ -193,7 +170,7 @@ func main() {
 		s.UptimeCorrelation())
 
 	fmt.Println("\n== §2.4: a young server's first 'hour' (fresh boot, Cache A) ==")
-	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "ticks\tfree 2MB contiguity\tunmovable 2MB blocks")
 	tsCfg := cfg
 	tsCfg.Seed = cfg.Seed + 99
@@ -202,4 +179,19 @@ func main() {
 	}
 	w.Flush()
 	fmt.Println("paper: servers can get highly fragmented within the first hour of running workloads")
+}
+
+// cdfTable prints one Fig. 4/5 table: the CDF at each probe x (rows)
+// for each block order (columns).
+func cdfTable(label string, xs []float64, cdf func(order int) *stats.CDF) {
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "%s\t2MB\t4MB\t32MB\t1GB\t\n", label)
+	for _, x := range xs {
+		fmt.Fprintf(w, "%.0f%%\t", x*100)
+		for _, o := range figOrders {
+			fmt.Fprintf(w, "%.2f\t", cdf(o).At(x))
+		}
+		fmt.Fprintln(w)
+	}
+	w.Flush()
 }

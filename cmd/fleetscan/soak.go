@@ -54,42 +54,31 @@ func runSoak(cfg fleet.Config, opt soakOptions) {
 	fmt.Printf("soak: %d servers of %d MiB, seed %d, kill-every %d, ckpt-fail %.0f%%\n",
 		cfg.Servers, cfg.MemBytes>>20, cfg.Seed, opt.killEvery, opt.ckptFailProb*100)
 
-	// The oracle: same seed, no faults, no supervision stress.
-	want := referenceBytes(cfg)
+	// Mount the soak's registry before the oracle runs, so /metrics
+	// answers from the start.
+	scfg, pub := soakConfig(cfg, opt.dir, telemetry.NewRing(1<<12))
+	want := referenceBytes(cfg, pub)
 
-	ring := telemetry.NewRing(1 << 12)
-	obsvSinkRing(ring)
-	reg := obsvRegistry(telemetry.NewRegistry())
 	var crashes uint64
-	scfg := fleet.SupervisedConfig{
-		Fleet:       cfg,
-		MaxAttempts: soakMaxAttempts,
-		BackoffBase: soakBackoffBase,
-		BackoffCap:  soakBackoffCap,
-		Heartbeat:   30 * time.Second,
-		Dir:         opt.dir,
-		Faults: fleet.FaultPlan{
-			CrashEveryN:        opt.killEvery,
-			CheckpointFailProb: opt.ckptFailProb,
-		},
-		Trace:    ring,
-		Metrics:  reg,
-		Progress: obsvProgress("soak"),
-		OnEvent: func(ev supervise.Event) {
-			obsvPumpNow()
-			if ev.Kind != supervise.EventCrash {
-				return
-			}
-			crashes++
-			if opt.killAfter > 0 && crashes == opt.killAfter {
-				// Die like a machine, not like a program: no cleanup, no
-				// final manifest write. The atomic rename discipline must
-				// make whatever is on disk resumable.
-				fmt.Printf("killed process mid-campaign after %d shard crashes (resume with -soak -resume %s)\n",
-					crashes, opt.dir)
-				os.Exit(cli.CodeOK)
-			}
-		},
+	scfg.Faults = fleet.FaultPlan{
+		CrashEveryN:        opt.killEvery,
+		CheckpointFailProb: opt.ckptFailProb,
+	}
+	scfg.Progress = progress("soak")
+	scfg.OnEvent = func(ev supervise.Event) {
+		pub.Pump(0)
+		if ev.Kind != supervise.EventCrash {
+			return
+		}
+		crashes++
+		if opt.killAfter > 0 && crashes == opt.killAfter {
+			// Die like a machine, not like a program: no cleanup, no
+			// final manifest write. The atomic rename discipline must
+			// make whatever is on disk resumable.
+			fmt.Printf("killed process mid-campaign after %d shard crashes (resume with -soak -resume %s)\n",
+				crashes, opt.dir)
+			os.Exit(cli.CodeOK)
+		}
 	}
 	if opt.killAfter > 0 && opt.dir == "" {
 		cli.Usagef("fleetscan: -kill-after needs -state-dir (a killed in-memory campaign has nothing to resume)")
@@ -99,8 +88,8 @@ func runSoak(cfg fleet.Config, opt soakOptions) {
 	if err != nil {
 		cli.Runtimef("fleetscan: soak: %v", err)
 	}
-	obsvPublish()
-	report(res, reg)
+	pub.Publish(0)
+	report(res, scfg.Metrics)
 
 	if res.KillsInjected < opt.minKills {
 		cli.Verifyf("fleetscan: soak injected %d shard kills, need >= %d — the fault schedule did not stress the supervisor",
@@ -118,19 +107,10 @@ func runSoak(cfg fleet.Config, opt soakOptions) {
 // state across the kill.
 func resumeSoak(cfg fleet.Config, opt soakOptions) {
 	fmt.Printf("soak resume: %d servers from %s\n", cfg.Servers, opt.resumeDir)
-	reg := obsvRegistry(telemetry.NewRegistry())
-	res, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{
-		Fleet:       cfg,
-		MaxAttempts: soakMaxAttempts,
-		BackoffBase: soakBackoffBase,
-		BackoffCap:  soakBackoffCap,
-		Heartbeat:   30 * time.Second,
-		Dir:         opt.resumeDir,
-		Resume:      true,
-		Metrics:     reg,
-		Progress:    obsvProgress("soak-resume"),
-		OnEvent:     obsvPump(),
-	})
+	scfg, pub := soakConfig(cfg, opt.resumeDir, nil)
+	scfg.Resume = true
+	scfg.Progress = progress("soak-resume")
+	res, err := fleet.RunSupervised(context.Background(), scfg)
 	if err != nil {
 		if errors.Is(err, snapshot.ErrNoManifest) {
 			// Not a campaign state directory at all: a missing or empty
@@ -144,9 +124,9 @@ func resumeSoak(cfg fleet.Config, opt soakOptions) {
 		// campaign configuration.
 		cli.Verifyf("fleetscan: resume: %v", err)
 	}
-	obsvPublish()
-	report(res, reg)
-	verifyIdentical(res, referenceBytes(cfg))
+	pub.Publish(0)
+	report(res, scfg.Metrics)
+	verifyIdentical(res, referenceBytes(cfg, pub))
 	var priorAttempts uint64
 	for _, s := range res.Manifest.Shards {
 		priorAttempts += s.Attempts
@@ -177,7 +157,7 @@ func verifyIdentical(res *fleet.CampaignResult, want []byte) {
 	if !res.Report.Complete {
 		cli.Verifyf("fleetscan: soak incomplete: %s (missing shards %v)", res.Report, res.MissingShards)
 	}
-	got := studyBytes(res.Study)
+	got := fleet.CanonicalBytes(res.Study)
 	if !bytes.Equal(got, want) {
 		cli.Verifyf("fleetscan: soak diverged: supervised study (%d bytes) != unfaulted study (%d bytes) — crashes or retries leaked into results",
 			len(got), len(want))
@@ -185,11 +165,11 @@ func verifyIdentical(res *fleet.CampaignResult, want []byte) {
 }
 
 // referenceBytes runs the unfaulted oracle study and serialises it.
-func referenceBytes(cfg fleet.Config) []byte {
+func referenceBytes(cfg fleet.Config, pub *telemetry.Publisher) []byte {
 	res, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{
 		Fleet:    cfg,
-		Progress: obsvProgress("reference"),
-		OnEvent:  obsvPump(),
+		Progress: progress("reference"),
+		OnEvent:  func(supervise.Event) { pub.Pump(0) },
 	})
 	if err != nil {
 		cli.Runtimef("fleetscan: reference run: %v", err)
@@ -197,9 +177,38 @@ func referenceBytes(cfg fleet.Config) []byte {
 	if !res.Report.Complete {
 		cli.Verifyf("fleetscan: reference run incomplete with no faults armed: %s", res.Report)
 	}
-	return studyBytes(res.Study)
+	return fleet.CanonicalBytes(res.Study)
 }
 
-// studyBytes is fleet.CanonicalBytes — the shared canonical identity
-// the service layer's result files use too.
-func studyBytes(s *fleet.Study) []byte { return fleet.CanonicalBytes(s) }
+// soakConfig is the supervision setup a soak and its resume share. Its
+// fresh registry is mounted on the -serve plane (with ring on /events)
+// and published once, so /metrics answers before the first event; the
+// OnEvent hook pumps the returned publisher from the supervisor
+// goroutine, which owns the registry's writers. A fleet campaign has no
+// global tick, so snapshots carry tick 0. Without -serve the publisher
+// is nil and every use of it is a no-op.
+func soakConfig(cfg fleet.Config, dir string, ring *telemetry.Ring) (fleet.SupervisedConfig, *telemetry.Publisher) {
+	reg := telemetry.NewRegistry()
+	pub := obsvHandle.Attach(reg, ring)
+	pub.Publish(0)
+	return fleet.SupervisedConfig{
+		Fleet:       cfg,
+		MaxAttempts: soakMaxAttempts,
+		BackoffBase: soakBackoffBase,
+		BackoffCap:  soakBackoffCap,
+		Heartbeat:   30 * time.Second,
+		Dir:         dir,
+		Trace:       ring,
+		Metrics:     reg,
+		OnEvent:     func(supervise.Event) { pub.Pump(0) },
+	}, pub
+}
+
+// progress registers a campaign on the -serve board, or returns a true
+// nil sink without -serve.
+func progress(name string) fleet.ProgressSink {
+	if obsvHandle == nil {
+		return nil
+	}
+	return obsvHandle.Board.Register(name)
+}

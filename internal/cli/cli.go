@@ -1,5 +1,6 @@
 // Package cli unifies process exit semantics across the repository's
-// commands (contigsim, contigchaos, contigtrace, fleetscan, migbench).
+// commands (contigchaos, contigd, contigsim, contigtrace, fleetscan,
+// migbench, obsvcheck).
 // Every command distinguishes the same four outcomes:
 //
 //	0 (CodeOK)      success — including -h/-help

@@ -10,11 +10,17 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 
 	"contiguitas/internal/mem"
 )
+
+// ErrCanonical reports bytes that are not a CanonicalBytes
+// serialisation: truncated, trailing, or malformed input.
+var ErrCanonical = errors.New("fleet: malformed canonical study bytes")
 
 // CanonicalBytes serialises every sample field in canonical order (map
 // keys walked via the fixed scan-order list), independent of how the
@@ -41,6 +47,60 @@ func CanonicalBytes(s *Study) []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+// minSampleBytes is the smallest canonical sample: an empty profile's
+// NUL plus every fixed-width field.
+var minSampleBytes = 1 + 8*(4+2*len(mem.ScanOrders)+mem.NumSources)
+
+// ParseCanonical is the exact inverse of CanonicalBytes: for every b it
+// accepts, CanonicalBytes(ParseCanonical(b)) == b. Anything else is
+// ErrCanonical. The bytes carry samples only, so the study's Cfg is
+// zero.
+func ParseCanonical(b []byte) (*Study, error) {
+	short := false
+	u64 := func() uint64 {
+		if len(b) < 8 {
+			short = true
+			return 0
+		}
+		v := binary.LittleEndian.Uint64(b)
+		b = b[8:]
+		return v
+	}
+	f64 := func() float64 { return math.Float64frombits(u64()) }
+	n := u64()
+	if n > uint64(len(b)/minSampleBytes) {
+		// Refuse a count the input cannot hold before allocating for it.
+		return nil, fmt.Errorf("%w: %d samples in %d bytes", ErrCanonical, n, len(b))
+	}
+	samples := make([]Sample, n)
+	for i := range samples {
+		profile, rest, ok := bytes.Cut(b, []byte{0})
+		if !ok {
+			return nil, fmt.Errorf("%w: sample %d truncated", ErrCanonical, i)
+		}
+		b = rest
+		smp := &samples[i]
+		smp.Profile = string(profile)
+		smp.Uptime, smp.FreePages, smp.Free2MBlocks = u64(), u64(), u64()
+		smp.UnmovFrameFrac = f64()
+		smp.FreeContigFrac = make(map[int]float64, len(mem.ScanOrders))
+		smp.UnmovBlockFrac = make(map[int]float64, len(mem.ScanOrders))
+		for _, o := range mem.ScanOrders {
+			smp.FreeContigFrac[o], smp.UnmovBlockFrac[o] = f64(), f64()
+		}
+		for j := range smp.SourceBreakdown {
+			smp.SourceBreakdown[j] = u64()
+		}
+	}
+	switch {
+	case short:
+		return nil, fmt.Errorf("%w: truncated", ErrCanonical)
+	case len(b) != 0:
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCanonical, len(b))
+	}
+	return &Study{Samples: samples}, nil
 }
 
 // CanonicalDigest returns the FNV-1a digest of CanonicalBytes — the

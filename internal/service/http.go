@@ -13,7 +13,8 @@
 //
 // Error contract (all JSON {"error": ...}):
 //
-//	400  invalid JSON, missing idempotency key, spec validation
+//	400  invalid JSON (unknown fields and trailing data included),
+//	     missing idempotency key, spec validation
 //	404  unknown campaign
 //	409  key reused with a different spec; result requested before done
 //	429  queue full (Retry-After: 1)
@@ -22,8 +23,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 )
@@ -70,12 +73,10 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds 1 MiB")
 		return
 	}
-	var req submitRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-			return
-		}
+	req, err := decodeSubmit(body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	if h := r.Header.Get("Idempotency-Key"); h != "" {
 		req.Key = h
@@ -95,6 +96,25 @@ func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusCreated
 	}
 	writeJSON(w, code, submitResponse{Created: created, Campaign: c})
+}
+
+// decodeSubmit parses a submit body strictly: an unknown field (a
+// misspelt "server") or data after the JSON value is an error, never a
+// silently different campaign. An empty body is the all-defaults spec.
+func decodeSubmit(body []byte) (submitRequest, error) {
+	var req submitRequest
+	if len(body) == 0 {
+		return req, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return submitRequest{}, fmt.Errorf("invalid JSON: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return submitRequest{}, errors.New("invalid JSON: trailing data after the request body")
+	}
+	return req, nil
 }
 
 // submitStatus maps a typed Submit error to its HTTP status and

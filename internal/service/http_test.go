@@ -164,6 +164,16 @@ func TestHTTPErrorContract(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad spec: %d", resp.StatusCode)
 	}
+	// 400: an unknown field is a typo, not the default spec.
+	resp, data := postJSON(t, srv.URL+"/api/campaigns", `{"key": "k", "spec": {"server": 5}}`, nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "server") {
+		t.Fatalf("unknown field: %d %s", resp.StatusCode, data)
+	}
+	// 400: data after the JSON value.
+	resp, data = postJSON(t, srv.URL+"/api/campaigns", fmt.Sprintf(`{"key": "k", "spec": %s} {}`, spec), nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "trailing") {
+		t.Fatalf("trailing data: %d %s", resp.StatusCode, data)
+	}
 
 	// 201 then 409: key reused with a different spec.
 	resp, _ = postJSON(t, srv.URL+"/api/campaigns", fmt.Sprintf(`{"key": "k1", "spec": %s}`, spec), nil)
@@ -186,7 +196,7 @@ func TestHTTPErrorContract(t *testing.T) {
 
 	// 409: result before done, with the state in the body.
 	id := CampaignID("k1")
-	resp, data := getBody(t, srv.URL+"/api/campaigns/"+id+"/result")
+	resp, data = getBody(t, srv.URL+"/api/campaigns/"+id+"/result")
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("early result: %d %s", resp.StatusCode, data)
 	}

@@ -40,6 +40,7 @@ import (
 
 	"contiguitas/internal/fleet"
 	"contiguitas/internal/obsv"
+	"contiguitas/internal/resultcache"
 	"contiguitas/internal/snapshot"
 	"contiguitas/internal/telemetry"
 )
@@ -82,6 +83,9 @@ type SchedulerConfig struct {
 	// the soak tests and CI use to force shard kills and checkpoint
 	// write failures under the service.
 	Faults fleet.FaultPlan
+	// Cache, when set, passes through to every cell run as the shard
+	// result cache; its tallies land in the cache_* stats.
+	Cache resultcache.Cache
 	// StoreRetries is how many times a failing store write is attempted
 	// (with BackoffBase/BackoffCap pacing) before the campaign is failed
 	// with ErrStorage and the daemon degrades (default 3).
@@ -113,6 +117,11 @@ type Stats struct {
 	ScrubScanned     uint64 `json:"scrub_scanned"`
 	ScrubQuarantined uint64 `json:"scrub_quarantined"`
 	ScrubRequeued    uint64 `json:"scrub_requeued"`
+	// Result-cache lookup tallies summed over every cell run (zero
+	// without SchedulerConfig.Cache).
+	CacheHits    uint64 `json:"cache_hits"`
+	CacheMisses  uint64 `json:"cache_misses"`
+	CacheRejects uint64 `json:"cache_rejects"`
 }
 
 // Scheduler owns the queue, the worker pool, and the lifecycle of every
@@ -148,6 +157,10 @@ type Scheduler struct {
 	stScrubScanned atomic.Uint64
 	stScrubQuar    atomic.Uint64
 	stScrubRequeue atomic.Uint64
+
+	stCacheHits    atomic.Uint64
+	stCacheMisses  atomic.Uint64
+	stCacheRejects atomic.Uint64
 
 	// degraded is the read-only mode flag; probeFails counts failed
 	// recovery probes for the healed tracepoint.
@@ -295,6 +308,9 @@ func (s *Scheduler) Stats() Stats {
 		ScrubScanned:     s.stScrubScanned.Load(),
 		ScrubQuarantined: s.stScrubQuar.Load(),
 		ScrubRequeued:    s.stScrubRequeue.Load(),
+		CacheHits:        s.stCacheHits.Load(),
+		CacheMisses:      s.stCacheMisses.Load(),
+		CacheRejects:     s.stCacheRejects.Load(),
 	}
 }
 
@@ -678,9 +694,15 @@ func (s *Scheduler) runCell(ctx context.Context, c *Campaign, idx int, cell Cell
 			Dir:         dir,
 			Resume:      resume,
 			Faults:      s.cfg.Faults,
+			Cache:       s.cfg.Cache,
 			Progress:    prog,
 			Trace:       ring,
 		})
+		if res != nil {
+			s.stCacheHits.Add(res.CacheHits)
+			s.stCacheMisses.Add(res.CacheMisses)
+			s.stCacheRejects.Add(res.CacheRejects)
+		}
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}

@@ -2,12 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"contiguitas/internal/fleet"
+	"contiguitas/internal/resultcache"
 )
 
 // tinySpec is sized like the fleet package's supervision tests: enough
@@ -137,6 +139,52 @@ func TestSweepGridMergesAllCells(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("sweep result diverged from direct per-cell runs")
+	}
+}
+
+// TestCachedCampaignMatchesDirectRun: a memory-store campaign over a
+// result cache journals cells byte-identical to a direct RunSupervised
+// run, and a second scheduler over the same cache serves every shard
+// from it with the same bytes.
+func TestCachedCampaignMatchesDirectRun(t *testing.T) {
+	sp := tinySpec()
+	sp.Designs = []string{"linux", "contiguitas"}
+	norm := sp.normalized()
+	var want [][]byte
+	for _, cell := range norm.Cells() {
+		res, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{Fleet: norm.fleetConfig(cell)})
+		if err != nil || !res.Report.Complete {
+			t.Fatalf("direct run: %v", err)
+		}
+		want = append(want, fleet.CanonicalBytes(res.Study))
+	}
+
+	cache := resultcache.NewDir(t.TempDir(), fleet.CacheSchemaVersion)
+	run := func() Stats {
+		st := NewMemory()
+		s := NewScheduler(SchedulerConfig{Store: st, Cache: cache})
+		s.Start()
+		defer s.Drain()
+		c, _, err := s.Submit(sp, "cached")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin := waitTerminal(t, s, c.ID); fin.State != StateDone {
+			t.Fatalf("campaign %s: %s", fin.State, fin.Error)
+		}
+		for i, w := range want {
+			got, ok, err := st.GetCell(c.ID, i)
+			if err != nil || !ok || !bytes.Equal(got, w) {
+				t.Fatalf("cell %d: ok=%v err=%v, bytes differ from the direct run", i, ok, err)
+			}
+		}
+		return s.Stats()
+	}
+	if cold := run(); cold.CacheHits != 0 || cold.CacheMisses == 0 {
+		t.Fatalf("cold stats: %+v", cold)
+	}
+	if warm := run(); warm.CacheMisses != 0 || warm.CacheHits == 0 || warm.CacheRejects != 0 {
+		t.Fatalf("warm stats: %+v", warm)
 	}
 }
 

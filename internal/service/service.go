@@ -4,7 +4,9 @@
 // engine (internal/fleet + internal/supervise), journals every state
 // transition durably, and survives both graceful drains (SIGTERM) and
 // outright kills (SIGKILL) without losing a completed shard or
-// producing a result that differs from an uninterrupted run.
+// producing a result that differs from an uninterrupted run. It is the
+// repository's one campaign driver: cmd/fleetscan runs its study and
+// sweep through an in-process Scheduler over the memory store.
 //
 // The layering mirrors the rest of the repository:
 //
@@ -125,8 +127,8 @@ type Spec struct {
 }
 
 // Cell is one point of the spec's grid, in canonical iteration order
-// (designs outermost, jitters innermost — the same order the fleetscan
-// -sweep mode walks).
+// (designs outermost, jitters innermost); a cell's index in that order
+// addresses its journaled bytes (Store.GetCell).
 type Cell struct {
 	Design string  `json:"design"`
 	MemMiB uint64  `json:"mem_mib"`
@@ -267,7 +269,7 @@ func (sp Spec) fingerprint() uint64 {
 }
 
 // ParseDesign maps a design name to its core value, with a plain error
-// (the cli.Usagef exit in fleetscan is a CLI policy, not a library one).
+// for the caller to classify.
 func ParseDesign(name string) (core.Design, error) {
 	switch name {
 	case "linux":
