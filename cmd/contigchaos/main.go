@@ -128,40 +128,27 @@ func main() {
 	// exit path — a killed or failed soak still flushes complete
 	// artifacts instead of leaving truncated files behind. -serve
 	// attaches the same way even without -trace (a smaller ring, no
-	// exports).
-	var soaked *kernel.Kernel
-	var tp *telemetry.Ring
-	var sampler *telemetry.Sampler
+	// sampler, no exports).
+	var in *obsv.Instrumented
 	var exportErr error
+	ringCap, samples := 1<<12, 0
 	if *trace {
-		opts.OnKernel = func(k *kernel.Kernel) {
-			soaked = k
-			tp = telemetry.NewRing(1 << 16)
-			k.SetTracer(tp)
-			sampler = k.AttachSampler(int(opts.Ticks+opts.RecoveryTicks) + 1)
-			pub = handle.Attach(k.Metrics(), tp)
-			pub.Publish(0)
-		}
+		ringCap, samples = 1<<16, int(opts.Ticks+opts.RecoveryTicks)+1
 		opts.Export = func() {
-			if soaked == nil {
+			if in == nil {
 				return
 			}
-			exportErr = telemetry.ExportAll(
-				telemetry.ChromeTraceArtifact(*traceOut, tp, sampler),
-				telemetry.MetricsJSONLArtifact(*metricsOut, sampler),
-			)
-			if exportErr != nil {
+			if exportErr = in.Export(*traceOut, *metricsOut, ""); exportErr != nil {
 				return
 			}
 			fmt.Printf("telemetry: %s (%d events, %d overwritten), %s (%d rows)\n",
-				*traceOut, tp.Len(), tp.Overwritten(), *metricsOut, sampler.Len())
+				*traceOut, in.Ring.Len(), in.Ring.Overwritten(), *metricsOut, in.Sampler.Len())
 		}
-	} else if handle != nil {
+	}
+	if *trace || handle != nil {
 		opts.OnKernel = func(k *kernel.Kernel) {
-			tp = telemetry.NewRing(1 << 12)
-			k.SetTracer(tp)
-			pub = handle.Attach(k.Metrics(), tp)
-			pub.Publish(0)
+			in = handle.Instrument(k, ringCap, samples, 0)
+			pub = in.Pub
 		}
 	}
 

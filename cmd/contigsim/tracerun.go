@@ -6,6 +6,7 @@ import (
 
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
+	"contiguitas/internal/obsv"
 	"contiguitas/internal/psi"
 	"contiguitas/internal/snapshot"
 	"contiguitas/internal/telemetry"
@@ -37,40 +38,26 @@ func traceRun(mode kernel.Mode, memBytes, ticks, seed uint64, traceOut, metricsO
 	p.UserFrac = 0.79
 	p.PageCacheFrac = 0.09
 
-	cp := &snapshot.Checkpointer{Path: ckptOut}
-	var k *kernel.Kernel
-	var r *workload.Runner
-	startTick := uint64(0)
+	run := snapshot.Traced{
+		Config: cfg, Profile: p, Seed: seed, Ticks: ticks,
+		Every: ckptEvery, Path: ckptOut,
+	}
 	if resume != "" {
 		e, err := snapshot.Read(resume)
 		if err != nil {
 			return err
 		}
-		k, err = kernel.Restore(cfg, e.Machine.Kernel)
-		if err != nil {
-			return fmt.Errorf("resume: %w", err)
-		}
-		r, err = workload.RestoreRunner(k, p, seed, e.Machine.Runner)
-		if err != nil {
-			return fmt.Errorf("resume: %w", err)
-		}
-		startTick = e.Tick
-		cp.SetChain(e.Seq+1, e.ChainHash)
-		fmt.Printf("resumed from %s: seq=%d tick=%d state=%016x\n", resume, e.Seq, e.Tick, e.StateHash)
-	} else {
-		k = kernel.New(cfg)
-		r = workload.NewRunner(k, p, seed)
+		run.Resume = e
 	}
-
-	tp := telemetry.NewRing(1 << 16)
-	k.SetTracer(tp)
-	sampler := k.AttachSampler(int(ticks) + 1)
-	pub := obsvHandle.Attach(k.Metrics(), tp)
-	pub.Publish(startTick)
-
-	for tick := startTick; tick < ticks; tick++ {
-		r.Step()
-		pub.Pump(tick)
+	var in *obsv.Instrumented
+	run.Start = func(k *kernel.Kernel, tick uint64) {
+		if e := run.Resume; e != nil {
+			fmt.Printf("resumed from %s: seq=%d tick=%d state=%016x\n", resume, e.Seq, e.Tick, e.StateHash)
+		}
+		in = obsvHandle.Instrument(k, 1<<16, int(ticks)+1, tick)
+	}
+	run.Tick = func(k *kernel.Kernel, tick uint64) {
+		in.Pub.Pump(tick)
 		// Deterministic pulses keep every timeline track populated: the
 		// HugeTLB probe forces direct compaction, the defrag pass drives
 		// the hardware mover.
@@ -81,25 +68,17 @@ func traceRun(mode kernel.Mode, memBytes, ticks, seed uint64, traceOut, metricsO
 		if mode == kernel.ModeContiguitas && tick%50 == 49 {
 			k.DefragUnmovable()
 		}
-		if ckptEvery > 0 && (tick+1)%ckptEvery == 0 {
-			if _, err := cp.Take(tick+1, k, r, nil); err != nil {
-				return fmt.Errorf("checkpoint: %w", err)
-			}
-		}
 	}
-	pub.Publish(ticks)
-	if last := cp.Last(); last != nil {
+	k, last, err := run.Run()
+	if err != nil {
+		return err
+	}
+	in.Pub.Publish(ticks)
+	if last != nil {
 		fmt.Printf("last snapshot: %s seq=%d tick=%d state=%016x chain=%016x\n",
 			ckptOut, last.Seq, last.Tick, last.StateHash, last.ChainHash)
 	}
-
-	// Flush-all: every artifact is attempted even when a sibling's write
-	// fails, so one bad output path cannot cost the others.
-	if err := telemetry.ExportAll(
-		telemetry.ChromeTraceArtifact(traceOut, tp, sampler),
-		telemetry.MetricsJSONLArtifact(metricsOut, sampler),
-		telemetry.TimelineArtifact(timelineOut, tp),
-	); err != nil {
+	if err := in.Export(traceOut, metricsOut, timelineOut); err != nil {
 		return fmt.Errorf("telemetry export: %w", err)
 	}
 
@@ -110,7 +89,7 @@ func traceRun(mode kernel.Mode, memBytes, ticks, seed uint64, traceOut, metricsO
 		fmt.Printf("timeline: %s\n", timelineOut)
 	}
 	fmt.Printf("events: %d retained, %d overwritten (ring cap %d)\n",
-		tp.Len(), tp.Overwritten(), tp.Cap())
+		in.Ring.Len(), in.Ring.Overwritten(), in.Ring.Cap())
 
 	fmt.Println("\n-- per-tick stall/latency breakdown --")
 	w := table()

@@ -19,7 +19,6 @@ import (
 	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/obsv"
-	"contiguitas/internal/telemetry"
 	"contiguitas/internal/trace"
 	"contiguitas/internal/workload"
 )
@@ -150,33 +149,27 @@ func doReplay(path, design string, memBytes uint64, traceOut, metricsOut string)
 	// allocation stream then yields a per-design timeline and metric
 	// series, making cross-design comparisons visual. -serve forces the
 	// instrumentation on so the plane has something to stream.
-	var tp *telemetry.Ring
-	var sampler *telemetry.Sampler
+	var in *obsv.Instrumented
 	if traceOut != "" || metricsOut != "" || obsvHandle != nil {
-		tp = telemetry.NewRing(1 << 15)
-		k.SetTracer(tp)
-		sampler = k.AttachSampler(1 << 12)
+		in = obsvHandle.Instrument(k, 1<<15, 1<<12, 0)
 	}
-	pub := obsvHandle.Attach(k.Metrics(), tp)
-	pub.Publish(0)
 	st, err := trace.Replay(k, r)
 	if err != nil {
 		return err
 	}
-	pub.Publish(st.Ticks)
-	// Both artifacts are attempted even if one fails; an empty path
-	// skips that artifact.
-	if err := telemetry.ExportAll(
-		telemetry.ChromeTraceArtifact(traceOut, tp, sampler),
-		telemetry.MetricsJSONLArtifact(metricsOut, sampler),
-	); err != nil {
-		return err
+	if in != nil {
+		in.Pub.Publish(st.Ticks)
+		// Both artifacts are attempted even if one fails; an empty path
+		// skips that artifact.
+		if err := in.Export(traceOut, metricsOut, ""); err != nil {
+			return err
+		}
 	}
 	if traceOut != "" {
-		fmt.Printf("trace: %s (%d events, %d overwritten)\n", traceOut, tp.Len(), tp.Overwritten())
+		fmt.Printf("trace: %s (%d events, %d overwritten)\n", traceOut, in.Ring.Len(), in.Ring.Overwritten())
 	}
 	if metricsOut != "" {
-		fmt.Printf("metrics: %s (%d rows)\n", metricsOut, sampler.Len())
+		fmt.Printf("metrics: %s (%d rows)\n", metricsOut, in.Sampler.Len())
 	}
 	scan := k.PM().Scan(mem.ScanOrders)
 	fmt.Printf("replayed %d events (%d ticks, %d failed allocations) on %s\n",

@@ -27,13 +27,17 @@ import (
 
 	"contiguitas"
 	"contiguitas/internal/cli"
+	"contiguitas/internal/core"
 	"contiguitas/internal/fleet"
+	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/obsv"
 	"contiguitas/internal/prof"
 	"contiguitas/internal/resultcache"
 	"contiguitas/internal/service"
+	"contiguitas/internal/snapshot"
 	"contiguitas/internal/stats"
+	"contiguitas/internal/workload"
 )
 
 // obsvHandle is the -serve plane; nil without the flag, and every use
@@ -194,4 +198,50 @@ func cdfTable(label string, xs []float64, cdf func(order int) *stats.CDF) {
 		fmt.Fprintln(w)
 	}
 	w.Flush()
+}
+
+// traceRepresentative runs one server of the study's design and memory
+// size for the study's maximum uptime under the Web profile with full
+// telemetry attached, on the shared resumable traced loop
+// (snapshot.Traced), and exports its Chrome trace and per-tick metrics.
+// The fleet study itself stays uninstrumented — its servers are too
+// many and too short-lived for a per-server timeline to mean anything.
+func traceRepresentative(cfg contiguitas.FleetConfig, ticks uint64, traceOut, metricsOut string, ckptEvery uint64, ckptOut, resume string) error {
+	mc := core.DefaultMachineConfig(cfg.Design)
+	mc.MemBytes, mc.Seed = cfg.MemBytes, cfg.Seed
+	run := snapshot.Traced{
+		Config: mc.KernelConfig(), Profile: workload.Web(), Seed: cfg.Seed, Ticks: ticks,
+		Every: ckptEvery, Path: ckptOut,
+	}
+	if resume != "" {
+		e, err := snapshot.Read(resume)
+		if err != nil {
+			return err
+		}
+		run.Resume = e
+	}
+	var in *obsv.Instrumented
+	run.Start = func(k *kernel.Kernel, tick uint64) {
+		if e := run.Resume; e != nil {
+			fmt.Printf("resumed representative server from %s: seq=%d tick=%d state=%016x\n",
+				resume, e.Seq, e.Tick, e.StateHash)
+		}
+		in = obsvHandle.Instrument(k, 1<<15, int(ticks)+1, tick)
+	}
+	run.Tick = func(_ *kernel.Kernel, tick uint64) { in.Pub.Pump(tick) }
+	_, last, err := run.Run()
+	if err != nil {
+		return err
+	}
+	in.Pub.Publish(ticks)
+	if err := in.Export(traceOut, metricsOut, ""); err != nil {
+		return fmt.Errorf("telemetry export: %w", err)
+	}
+	fmt.Printf("instrumented representative server: %s (%d events, %d overwritten), %s (%d rows)\n",
+		traceOut, in.Ring.Len(), in.Ring.Overwritten(), metricsOut, in.Sampler.Len())
+	if last != nil {
+		fmt.Printf("last snapshot: %s seq=%d tick=%d state=%016x chain=%016x\n",
+			ckptOut, last.Seq, last.Tick, last.StateHash, last.ChainHash)
+	}
+	return nil
 }

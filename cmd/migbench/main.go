@@ -89,7 +89,7 @@ func traceMigrations(path string, victims int) error {
 	if _, err := m.HWMigrateObserved(10, 200, 300, platform.HWMigrateOptions{}, nil); err != nil {
 		return err
 	}
-	if err := telemetry.ExportChromeTraceFile(path, tp, nil); err != nil {
+	if err := telemetry.ExportAll(telemetry.ChromeTraceArtifact(path, tp, nil)); err != nil {
 		return err
 	}
 	fmt.Printf("cycle-level migration trace (%d events): %s\n\n", tp.Len(), path)

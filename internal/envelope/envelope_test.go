@@ -114,7 +114,7 @@ func formats(tb testing.TB) []format {
 			},
 		},
 		{
-			magic: snapshot.ShardMagic, version: snapshot.ManifestVersion, file: readFile(tb, shardPath),
+			magic: snapshot.ShardMagic, version: snapshot.ShardVersion, file: readFile(tb, shardPath),
 			legacy: struct {
 				Magic               string
 				Version             uint32

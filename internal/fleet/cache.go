@@ -36,7 +36,10 @@ import (
 // NOT folded into the cache key: inside the key it would merely orphan
 // old entries as misses, while in the envelope it makes staleness a
 // detected, counted rejection.
-const CacheSchemaVersion = 1
+//
+// Version history: 1 — initial; 2 — Sample's per-order fractions became
+// fixed arrays (deterministic gob bytes).
+const CacheSchemaVersion = 2
 
 // defaultCacheWait bounds a singleflight follower's wait for the
 // leader's Put. The flight is an optimization, never a correctness

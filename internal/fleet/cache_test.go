@@ -1,16 +1,48 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"os"
 	"reflect"
 	"sync"
 	"testing"
 
+	"contiguitas/internal/core"
 	"contiguitas/internal/resultcache"
 	"contiguitas/internal/telemetry"
+	"contiguitas/internal/workload"
 )
+
+// TestGobBytesDeterministic: the values sealed into CTGSNAP (the
+// kernel's scan witness) and into CTGSHRD/CTGCACH (shard samples)
+// gob-encode to one byte string however often they are encoded, so
+// equal states write byte-identical files.
+func TestGobBytesDeterministic(t *testing.T) {
+	mc := core.DefaultMachineConfig(core.DesignContiguitas)
+	mc.MemBytes = 64 << 20
+	m := core.NewMachine(mc)
+	m.Attach(workload.Web(), 1).Run(20)
+	for name, v := range map[string]any{
+		"ContiguityStats": m.Scan(),
+		"[]Sample":        Run(tinyConfig()).Samples,
+	} {
+		var first []byte
+		for i := 0; i < 32; i++ {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if i == 0 {
+				first = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), first) {
+				t.Fatalf("%s: encoding %d differs from the first", name, i)
+			}
+		}
+	}
+}
 
 // runCached executes one supervised campaign over cfg with the given
 // cache and fails the test on any setup error or incomplete report.

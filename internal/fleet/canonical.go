@@ -85,8 +85,6 @@ func ParseCanonical(b []byte) (*Study, error) {
 		smp.Profile = string(profile)
 		smp.Uptime, smp.FreePages, smp.Free2MBlocks = u64(), u64(), u64()
 		smp.UnmovFrameFrac = f64()
-		smp.FreeContigFrac = make(map[int]float64, len(mem.ScanOrders))
-		smp.UnmovBlockFrac = make(map[int]float64, len(mem.ScanOrders))
 		for _, o := range mem.ScanOrders {
 			smp.FreeContigFrac[o], smp.UnmovBlockFrac[o] = f64(), f64()
 		}

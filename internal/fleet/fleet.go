@@ -55,14 +55,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Sample is one scanned server.
+// Sample is one scanned server. The per-order fractions are indexed by
+// block order (zero outside mem.ScanOrders); arrays rather than maps
+// keep the gob bytes of shard checkpoints and cache entries
+// deterministic.
 type Sample struct {
 	Profile string
 	Uptime  uint64
 
 	FreePages       uint64
-	FreeContigFrac  map[int]float64
-	UnmovBlockFrac  map[int]float64
+	FreeContigFrac  [mem.MaxOrder + 1]float64
+	UnmovBlockFrac  [mem.MaxOrder + 1]float64
 	UnmovFrameFrac  float64
 	Free2MBlocks    uint64
 	SourceBreakdown [mem.NumSources]uint64
@@ -76,8 +79,7 @@ type Study struct {
 	// Lazily-built per-order CDF caches: the CLI evaluates the same CDF
 	// at many x values in nested loops, and rebuilding (copy + sort) per
 	// call dominated study post-processing.
-	contigCDF map[int]*stats.CDF
-	unmovCDF  map[int]*stats.CDF
+	contigCDF, unmovCDF [mem.MaxOrder + 1]*stats.CDF
 }
 
 // serverPlan is one server's pre-drawn randomization, fixed before the
@@ -164,8 +166,6 @@ func runServer(cfg Config, plan serverPlan, st *mem.ContiguityStats) Sample {
 		Profile:        plan.profile.Name,
 		Uptime:         plan.uptime,
 		FreePages:      st.FreePages,
-		FreeContigFrac: map[int]float64{},
-		UnmovBlockFrac: map[int]float64{},
 		UnmovFrameFrac: st.UnmovableFrameFraction(),
 		Free2MBlocks:   st.FreeContigPages[mem.Order2M] / mem.PageblockPages,
 	}
@@ -191,41 +191,27 @@ func clamp01(x float64) float64 {
 
 // ContigCDF is Figure 4: the distribution across servers of free-memory
 // contiguity at the given block order, as a fraction of free memory.
-// The CDF is built once per order and cached; Samples are immutable
-// after Run.
 func (s *Study) ContigCDF(order int) *stats.CDF {
-	if c, ok := s.contigCDF[order]; ok {
-		return c
-	}
-	vals := make([]float64, 0, len(s.Samples))
-	for _, smp := range s.Samples {
-		vals = append(vals, smp.FreeContigFrac[order])
-	}
-	c := stats.NewCDFInPlace(vals)
-	if s.contigCDF == nil {
-		s.contigCDF = make(map[int]*stats.CDF)
-	}
-	s.contigCDF[order] = c
-	return c
+	return s.cdf(&s.contigCDF[order], func(smp *Sample) float64 { return smp.FreeContigFrac[order] })
 }
 
 // UnmovCDF is Figure 5: the distribution of the fraction of blocks at
-// the given order containing unmovable memory. Cached per order like
-// ContigCDF.
+// the given order containing unmovable memory.
 func (s *Study) UnmovCDF(order int) *stats.CDF {
-	if c, ok := s.unmovCDF[order]; ok {
-		return c
+	return s.cdf(&s.unmovCDF[order], func(smp *Sample) float64 { return smp.UnmovBlockFrac[order] })
+}
+
+// cdf returns *cached, first building it from val over every sample.
+// Samples are immutable after Run, so each CDF is built once.
+func (s *Study) cdf(cached **stats.CDF, val func(*Sample) float64) *stats.CDF {
+	if *cached == nil {
+		vals := make([]float64, 0, len(s.Samples))
+		for i := range s.Samples {
+			vals = append(vals, val(&s.Samples[i]))
+		}
+		*cached = stats.NewCDFInPlace(vals)
 	}
-	vals := make([]float64, 0, len(s.Samples))
-	for _, smp := range s.Samples {
-		vals = append(vals, smp.UnmovBlockFrac[order])
-	}
-	c := stats.NewCDFInPlace(vals)
-	if s.unmovCDF == nil {
-		s.unmovCDF = make(map[int]*stats.CDF)
-	}
-	s.unmovCDF[order] = c
-	return c
+	return *cached
 }
 
 // NoContigFraction returns the fraction of servers without a single

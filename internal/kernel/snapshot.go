@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"reflect"
 
 	"contiguitas/internal/mem"
 	"contiguitas/internal/pressure"
@@ -364,8 +363,7 @@ func Restore(cfg Config, st *State) (*Kernel, error) {
 		return nil, err
 	}
 	if st.Scan != nil {
-		rescanned := pm.Scan(mem.ScanOrders)
-		if !reflect.DeepEqual(rescanned, st.Scan) {
+		if *pm.Scan(mem.ScanOrders) != *st.Scan {
 			return nil, fmt.Errorf("kernel: restore: rebuilt contiguity index disagrees with serialized scan witness")
 		}
 	}

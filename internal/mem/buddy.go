@@ -121,9 +121,6 @@ func (b *Buddy) Owns(pfn uint64) bool { return pfn >= b.start && pfn < b.end }
 // FreePages returns the total number of free frames in the region.
 func (b *Buddy) FreePages() uint64 { return b.freeTotal }
 
-// FreePagesOf returns the free frames currently on mt's lists.
-func (b *Buddy) FreePagesOf(mt MigrateType) uint64 { return b.freeByList[mt] }
-
 // LargestFreeOrder returns the order of the largest free block, or -1 when
 // the region is completely allocated. O(1) via the maintained order masks.
 func (b *Buddy) LargestFreeOrder() int {

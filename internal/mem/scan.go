@@ -65,44 +65,33 @@ func (pm *PhysMem) AllocHead(pfn uint64) (uint64, bool) {
 type ContiguityStats struct {
 	TotalPages uint64
 	FreePages  uint64
+	// The per-order counters are indexed by block order and are zero
+	// for orders the scan did not cover. They are arrays, not maps, so
+	// gob encodes them in one fixed order and sealed checkpoints are
+	// byte-deterministic.
+	//
 	// FreeContigPages[order] is the number of free pages that sit inside
 	// fully-free naturally-aligned blocks of the given order.
-	FreeContigPages map[int]uint64
+	FreeContigPages [MaxOrder + 1]uint64
 	// UnmovableBlocks[order] is the number of aligned blocks of the
 	// given order containing at least one unmovable frame.
-	UnmovableBlocks map[int]uint64
+	UnmovableBlocks [MaxOrder + 1]uint64
 	// TotalBlocks[order] is the number of aligned blocks of that order.
-	TotalBlocks map[int]uint64
+	TotalBlocks [MaxOrder + 1]uint64
 	// PotentialBlocks[order] counts aligned blocks with no unmovable
 	// frame — blocks a perfect compactor could empty (Figure 12).
-	PotentialBlocks map[int]uint64
+	PotentialBlocks [MaxOrder + 1]uint64
 	// UnmovableBySource counts unmovable frames per allocation source.
 	UnmovableBySource [NumSources]uint64
 	UnmovableFrames   uint64
 }
 
-// reset prepares st for reuse, clearing counters and (re)creating maps.
+// reset prepares st for reuse: every counter is cleared and TotalBlocks
+// is filled in for the scanned orders.
 func (st *ContiguityStats) reset(totalPages uint64, orders []int) {
-	st.TotalPages = totalPages
-	st.FreePages = 0
-	st.UnmovableFrames = 0
-	st.UnmovableBySource = [NumSources]uint64{}
-	if st.FreeContigPages == nil {
-		st.FreeContigPages = make(map[int]uint64, len(orders))
-		st.UnmovableBlocks = make(map[int]uint64, len(orders))
-		st.TotalBlocks = make(map[int]uint64, len(orders))
-		st.PotentialBlocks = make(map[int]uint64, len(orders))
-	}
-	for _, m := range []map[int]uint64{st.FreeContigPages, st.UnmovableBlocks, st.TotalBlocks, st.PotentialBlocks} {
-		for k := range m {
-			delete(m, k)
-		}
-	}
+	*st = ContiguityStats{TotalPages: totalPages}
 	for _, o := range orders {
-		st.FreeContigPages[o] = 0
-		st.UnmovableBlocks[o] = 0
 		st.TotalBlocks[o] = totalPages / OrderPages(o)
-		st.PotentialBlocks[o] = 0
 	}
 }
 
@@ -158,7 +147,6 @@ func (pm *PhysMem) ScanFull(orders []int) *ContiguityStats {
 	for _, o := range orders {
 		bp := OrderPages(o)
 		nblocks := pm.NPages / bp
-		st.TotalBlocks[o] = nblocks
 		for blk := uint64(0); blk < nblocks; blk++ {
 			base := blk * bp
 			allFree, anyUnmov := true, false

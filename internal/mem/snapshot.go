@@ -37,13 +37,21 @@ type PhysMemState struct {
 	FlIdx []int32
 }
 
-// ExportState deep-copies the frame table's persistent state.
+// ExportState deep-copies the frame table's persistent state. The flIdx
+// witness is copied for free heads only and zero elsewhere: other
+// frames keep stale indices from their past lives, which no restore
+// reads and which would otherwise make equal states encode differently.
 func (pm *PhysMem) ExportState() PhysMemState {
 	st := PhysMemState{
 		NPages: pm.NPages,
 		Meta:   append([]uint32(nil), pm.meta...),
 		PbMT:   append([]uint8(nil), pm.pbMT...),
-		FlIdx:  append([]int32(nil), pm.flIdx...),
+		FlIdx:  make([]int32, pm.NPages),
+	}
+	for pfn, m := range pm.meta {
+		if m&flagFree != 0 && m&flagHead != 0 {
+			st.FlIdx[pfn] = pm.flIdx[pfn]
+		}
 	}
 	return st
 }

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"contiguitas/internal/kernel"
 	"contiguitas/internal/telemetry"
 )
 
@@ -40,6 +41,16 @@ import (
 const (
 	quiesceIdle = 500 * time.Millisecond
 	quiesceMax  = 5 * time.Second
+)
+
+// Connection bounds: a client that stalls inside its request header,
+// or idles on a keep-alive connection, is disconnected instead of
+// pinning a goroutine and a socket. There is deliberately no write
+// timeout — /events and /debug/pprof/profile stream for as long as the
+// client asks.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // Options configures a Server. Any nil component simply disables its
@@ -112,7 +123,11 @@ func Start(opts Options) (*Server, error) {
 		opts.Extend(mux)
 	}
 
-	s.srv = &http.Server{Handler: s.track(mux)}
+	s.srv = &http.Server{
+		Handler:           s.track(mux),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
@@ -276,6 +291,45 @@ func (h *Handle) Attach(reg *telemetry.Registry, ring *telemetry.Ring) *telemetr
 		ring.SetSink(h.Bus.Sink())
 	}
 	return pub
+}
+
+// Instrumented is a kernel wired for telemetry by Handle.Instrument.
+type Instrumented struct {
+	Ring *telemetry.Ring
+	// Sampler is nil when the run keeps no per-tick series.
+	Sampler *telemetry.Sampler
+	// Pub is the publisher the driving goroutine pumps at its tick
+	// boundaries (nil without -serve; its methods are no-ops then).
+	Pub *telemetry.Publisher
+}
+
+// Instrument is the one instrumentation step of every traced run: it
+// gives k a tracepoint ring of ringCap records and, when samples > 0, a
+// per-tick sampler retaining that many rows, mounts both on the plane
+// (see Attach), and publishes tick. On a nil handle the ring and
+// sampler still attach; only the plane is absent. The capacities shape
+// the exported artifacts, so callers pass them explicitly.
+func (h *Handle) Instrument(k *kernel.Kernel, ringCap, samples int, tick uint64) *Instrumented {
+	in := &Instrumented{Ring: telemetry.NewRing(ringCap)}
+	k.SetTracer(in.Ring)
+	if samples > 0 {
+		in.Sampler = k.AttachSampler(samples)
+	}
+	in.Pub = h.Attach(k.Metrics(), in.Ring)
+	in.Pub.Publish(tick)
+	return in
+}
+
+// Export writes the run's artifacts to whichever paths are non-empty —
+// Chrome trace, per-tick metrics JSONL, text timeline — with
+// telemetry.ExportAll semantics: every artifact is attempted even when
+// a sibling fails, and the failures come back joined.
+func (in *Instrumented) Export(traceOut, metricsOut, timelineOut string) error {
+	return telemetry.ExportAll(
+		telemetry.ChromeTraceArtifact(traceOut, in.Ring, in.Sampler),
+		telemetry.MetricsJSONLArtifact(metricsOut, in.Sampler),
+		telemetry.TimelineArtifact(timelineOut, in.Ring),
+	)
 }
 
 // Close quiesces and shuts the plane down.

@@ -57,15 +57,79 @@ func (c *Checkpointer) Take(tick uint64, k *kernel.Kernel, r *workload.Runner, i
 // Last returns the most recent checkpoint (nil before the first Take).
 func (c *Checkpointer) Last() *Envelope { return c.last }
 
-// Chain returns the running chain digest after the last Take.
-func (c *Checkpointer) Chain() uint64 { return c.chain }
-
 // SetChain seeds the running chain digest and sequence number — used
 // when resuming, so checkpoints taken after the restore extend the
 // original chain instead of starting a new one.
 func (c *Checkpointer) SetChain(seq, chain uint64) {
 	c.seq = seq
 	c.chain = chain
+}
+
+// Traced describes one resumable traced run: a workload runner driving
+// a kernel tick by tick, with rolling checkpoints. It is the loop behind
+// contigsim -trace and fleetscan -trace.
+type Traced struct {
+	Config  kernel.Config
+	Profile workload.Profile
+	Seed    uint64
+	// Ticks is the end tick; a resumed run starts at Resume.Tick.
+	Ticks uint64
+	// Every > 0 checkpoints the machine to Path (see Checkpointer)
+	// every Every ticks, at the end-of-tick quiesce boundary.
+	Every uint64
+	Path  string
+	// Resume, when non-nil, restores the kernel and runner from this
+	// checkpoint and extends its chain instead of booting fresh.
+	Resume *Envelope
+	// Start runs once on the booted or restored kernel before the first
+	// tick, with the start tick; callers instrument the kernel here.
+	Start func(k *kernel.Kernel, tick uint64)
+	// Tick runs after each tick's workload step, before its checkpoint.
+	Tick func(k *kernel.Kernel, tick uint64)
+}
+
+// Run drives the traced run to t.Ticks and returns the kernel and the
+// last checkpoint taken (nil when none was). Only simulator state is
+// checkpointed, so a resumed run's telemetry restarts at the resume
+// tick, while its checkpoints equal the uninterrupted run's byte for
+// byte.
+func (t *Traced) Run() (*kernel.Kernel, *Envelope, error) {
+	cp := &Checkpointer{Path: t.Path}
+	var k *kernel.Kernel
+	var r *workload.Runner
+	start := uint64(0)
+	if e := t.Resume; e != nil {
+		if e.Machine.Runner == nil {
+			return nil, nil, fmt.Errorf("resume: checkpoint seq %d carries no runner state", e.Seq)
+		}
+		var err error
+		if k, err = kernel.Restore(t.Config, e.Machine.Kernel); err != nil {
+			return nil, nil, fmt.Errorf("resume: %w", err)
+		}
+		if r, err = workload.RestoreRunner(k, t.Profile, t.Seed, e.Machine.Runner); err != nil {
+			return nil, nil, fmt.Errorf("resume: %w", err)
+		}
+		start = e.Tick
+		cp.SetChain(e.Seq+1, e.ChainHash)
+	} else {
+		k = kernel.New(t.Config)
+		r = workload.NewRunner(k, t.Profile, t.Seed)
+	}
+	if t.Start != nil {
+		t.Start(k, start)
+	}
+	for tick := start; tick < t.Ticks; tick++ {
+		r.Step()
+		if t.Tick != nil {
+			t.Tick(k, tick)
+		}
+		if t.Every > 0 && (tick+1)%t.Every == 0 {
+			if _, err := cp.Take(tick+1, k, r, nil); err != nil {
+				return nil, nil, fmt.Errorf("checkpoint: %w", err)
+			}
+		}
+	}
+	return k, cp.Last(), nil
 }
 
 // RestoreChaos rebuilds the full machine a chaos checkpoint captured:

@@ -31,12 +31,15 @@ import (
 	"contiguitas/internal/vfs"
 )
 
-// Magics and version of the campaign formats. Version 2 moved both onto
-// the sealed envelope, dropping the Magic/Version body fields and the
-// manifest self-digest.
+// Magics and versions of the campaign formats. Version 2 moved both
+// onto the sealed envelope, dropping the Magic/Version body fields and
+// the manifest self-digest. ShardVersion 3 marks the fleet's sample
+// payload switching from per-order maps to arrays, whose gob bytes are
+// deterministic.
 const (
 	ShardMagic      = "CTGSHRD"
 	ManifestMagic   = "CTGMANI"
+	ShardVersion    = 3
 	ManifestVersion = 2
 )
 
@@ -113,14 +116,14 @@ func (c *ShardCheckpoint) Seal(prevChain uint64) uint64 {
 // WriteShard writes the checkpoint to path as a sealed CTGSHRD file,
 // atomically and durably.
 func WriteShard(path string, c *ShardCheckpoint) error {
-	return writeSealed(path, ShardMagic, ManifestVersion, c)
+	return writeSealed(path, ShardMagic, ShardVersion, c)
 }
 
 // ReadShard opens and verifies the shard checkpoint at path: the
 // envelope, the payload digest, and the chain recomputation.
 func ReadShard(path string) (*ShardCheckpoint, error) {
 	c := &ShardCheckpoint{}
-	if err := readSealed(path, ShardMagic, ManifestVersion, ErrShardCheckpoint, c); err != nil {
+	if err := readSealed(path, ShardMagic, ShardVersion, ErrShardCheckpoint, c); err != nil {
 		return nil, err
 	}
 	h := fnv.New64a()

@@ -52,9 +52,12 @@ import (
 //	    pressure counters in the kernel counter block.
 //	3 — sealed-envelope framing (internal/envelope); the Magic and
 //	    Version fields left the gob body.
+//	4 — byte-deterministic bodies: the scan witness's per-order
+//	    counters are arrays instead of maps, and the flIdx witness is
+//	    zero outside free heads.
 const (
 	Magic   = "CTGSNAP"
-	Version = 3
+	Version = 4
 )
 
 // Typed decode failures. Envelope failures surface as ErrBadMagic,

@@ -247,83 +247,54 @@ func writeJSONString(w *bufio.Writer, s string) {
 	fmt.Fprintf(w, "%q", s)
 }
 
-// writeFile writes path atomically and durably (making parent
-// directories) through the active FS: fn streams into a same-directory
-// temp file that is fsynced and renamed over path only after a
-// successful close, then the parent directory is fsynced so the rename
-// survives power loss. A crash or error mid-export can therefore never
-// leave a truncated, unparseable artifact at the target path — at worst
-// the previous complete version (or nothing) remains. internal/vfs
-// carries the discipline (telemetry cannot import snapshot: the kernel
-// imports telemetry and snapshot imports the kernel), which also puts
-// every exporter under storage-fault injection.
-func writeFile(path string, fn func(io.Writer) error) error {
-	return vfs.WriteDurable(vfs.Active(), path, fn)
-}
-
-// Artifact is one pending export: a target path and the writer that
-// produces it. A zero Path marks the artifact disabled (ExportAll skips
+// Artifact is one pending export: a target path and the stream that
+// fills it. A zero Path marks the artifact disabled (ExportAll skips
 // it), so optional outputs thread through uniformly.
 type Artifact struct {
 	Path  string
-	Write func(path string) error
+	Write func(io.Writer) error
 }
 
-// ChromeTraceArtifact defers an ExportChromeTraceFile.
+// ChromeTraceArtifact defers a WriteChromeTrace.
 func ChromeTraceArtifact(path string, r *Ring, s *Sampler) Artifact {
-	return Artifact{Path: path, Write: func(p string) error { return ExportChromeTraceFile(p, r, s) }}
+	return Artifact{path, func(w io.Writer) error { return WriteChromeTrace(w, r, s) }}
 }
 
-// MetricsJSONLArtifact defers an ExportMetricsJSONLFile.
+// MetricsJSONLArtifact defers a WriteMetricsJSONL.
 func MetricsJSONLArtifact(path string, s *Sampler) Artifact {
-	return Artifact{Path: path, Write: func(p string) error { return ExportMetricsJSONLFile(p, s) }}
+	return Artifact{path, func(w io.Writer) error { return WriteMetricsJSONL(w, s) }}
 }
 
-// MetricsCSVArtifact defers an ExportMetricsCSVFile.
-func MetricsCSVArtifact(path string, s *Sampler) Artifact {
-	return Artifact{Path: path, Write: func(p string) error { return ExportMetricsCSVFile(p, s) }}
-}
-
-// TimelineArtifact defers an ExportTimelineFile.
+// TimelineArtifact defers a WriteTimeline.
 func TimelineArtifact(path string, r *Ring) Artifact {
-	return Artifact{Path: path, Write: func(p string) error { return ExportTimelineFile(p, r) }}
+	return Artifact{path, func(w io.Writer) error { return WriteTimeline(w, r) }}
 }
 
-// ExportAll flushes every artifact, attempting each one regardless of
-// earlier failures, and returns the per-path-annotated errors joined.
-// writeFile already guarantees no artifact is ever left truncated; this
-// guarantees a failure on one path can no longer leave a *sibling*
-// artifact unwritten — the run's other outputs still land, and the
-// caller gets one error naming exactly what did not.
+// ExportAll writes every enabled artifact, attempting each one
+// regardless of earlier failures, and returns the per-path-annotated
+// errors joined: a failure on one path cannot leave a sibling artifact
+// unwritten.
+//
+// Each file is written atomically and durably (making parent
+// directories) through the active FS: the stream fills a
+// same-directory temp file that is fsynced and renamed over the path
+// only after a successful close, then the parent directory is fsynced
+// so the rename survives power loss. A crash or error mid-export can
+// therefore never leave a truncated, unparseable artifact at the target
+// path — at worst the previous complete version (or nothing) remains.
+// internal/vfs carries the discipline (telemetry cannot import
+// snapshot: the kernel imports telemetry and snapshot imports the
+// kernel), which also puts every exporter under storage-fault
+// injection.
 func ExportAll(artifacts ...Artifact) error {
 	var errs []error
 	for _, a := range artifacts {
 		if a.Path == "" {
 			continue
 		}
-		if err := a.Write(a.Path); err != nil {
+		if err := vfs.WriteDurable(vfs.Active(), a.Path, a.Write); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", a.Path, err))
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// ExportMetricsJSONLFile writes the sampler's JSONL series to path.
-func ExportMetricsJSONLFile(path string, s *Sampler) error {
-	return writeFile(path, func(w io.Writer) error { return WriteMetricsJSONL(w, s) })
-}
-
-// ExportMetricsCSVFile writes the sampler's CSV series to path.
-func ExportMetricsCSVFile(path string, s *Sampler) error {
-	return writeFile(path, func(w io.Writer) error { return WriteMetricsCSV(w, s) })
-}
-
-// ExportTimelineFile writes the ring's text timeline to path.
-func ExportTimelineFile(path string, r *Ring) error {
-	return writeFile(path, func(w io.Writer) error { return WriteTimeline(w, r) })
-}
-
-// ExportChromeTraceFile writes the Chrome trace_event JSON to path.
-func ExportChromeTraceFile(path string, r *Ring, s *Sampler) error {
-	return writeFile(path, func(w io.Writer) error { return WriteChromeTrace(w, r, s) })
 }

@@ -3,7 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -435,17 +437,20 @@ func TestExportFiles(t *testing.T) {
 	s := NewSampler(reg, 64)
 	s.Sample(1)
 
-	for _, p := range []struct {
-		path string
-		fn   func(string) error
-	}{
-		{dir + "/sub/trace.json", func(p string) error { return ExportChromeTraceFile(p, r, s) }},
-		{dir + "/metrics.jsonl", func(p string) error { return ExportMetricsJSONLFile(p, s) }},
-		{dir + "/metrics.csv", func(p string) error { return ExportMetricsCSVFile(p, s) }},
-		{dir + "/timeline.txt", func(p string) error { return ExportTimelineFile(p, r) }},
-	} {
-		if err := p.fn(p.path); err != nil {
-			t.Fatalf("%s: %v", p.path, err)
+	// The CSV series has no artifact constructor; a literal takes the
+	// same durable path.
+	csv := Artifact{dir + "/metrics.csv", func(w io.Writer) error { return WriteMetricsCSV(w, s) }}
+	if err := ExportAll(
+		ChromeTraceArtifact(dir+"/sub/trace.json", r, s),
+		MetricsJSONLArtifact(dir+"/metrics.jsonl", s),
+		TimelineArtifact(dir+"/timeline.txt", r),
+		csv,
+	); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"sub/trace.json", "metrics.jsonl", "timeline.txt", "metrics.csv"} {
+		if fi, err := os.Stat(dir + "/" + name); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s not written: %v", name, err)
 		}
 	}
 }
