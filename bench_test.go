@@ -91,7 +91,7 @@ func benchCampaignCfg() fleet.Config {
 func BenchmarkFleetCampaignCold(b *testing.B) {
 	cfg := benchCampaignCfg()
 	for i := 0; i < b.N; i++ {
-		cache := resultcache.NewLRU(16, fleet.CacheSchemaVersion)
+		cache := resultcache.NewLRU(16)
 		res, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{Fleet: cfg, Cache: cache})
 		if err != nil || !res.Report.Complete {
 			b.Fatalf("campaign: %v %v", err, res.Report)
@@ -104,7 +104,7 @@ func BenchmarkFleetCampaignCold(b *testing.B) {
 
 func BenchmarkFleetCampaignWarm(b *testing.B) {
 	cfg := benchCampaignCfg()
-	cache := resultcache.NewLRU(16, fleet.CacheSchemaVersion)
+	cache := resultcache.NewLRU(16)
 	if _, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{Fleet: cfg, Cache: cache}); err != nil {
 		b.Fatal(err)
 	}

@@ -20,11 +20,15 @@
 // self-digest, payload length (truncation or trailing bytes), payload
 // digest. Every failure wraps ErrCorrupt; a wrong magic or version also
 // wraps ErrBadMagic or ErrBadVersion. Open never panics on any input.
+//
+// GobDigest is the matching identity of a gob-encoded value: checkpoint
+// state hashes are the digest of the bytes their payload carries.
 package envelope
 
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -102,4 +106,45 @@ func Open(data []byte, magic string, version uint32) (Header, []byte, error) {
 		return Header{}, nil, fmt.Errorf("%w: payload digest %016x, recorded %016x", ErrCorrupt, got, rec)
 	}
 	return Header{Schema: le.Uint32(data[12:]), Key: le.Uint64(data[16:])}, payload, nil
+}
+
+// GobDigest is the FNV-1a digest of v's gob encoding without the type
+// descriptors: only the value bytes are hashed. gob numbers types
+// process-wide in the order they are first encoded, so the descriptors
+// and the value's type id depend on what else the process has encoded;
+// the value bytes depend on v alone. v must hold no maps (gob writes
+// them in iteration order) and no interfaces (their values carry type
+// ids).
+func GobDigest(v any) (uint64, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return 0, err
+	}
+	h := fnv.New64a()
+	for b := buf.Bytes(); len(b) > 0; {
+		n, rest := gobUint(b)
+		msg := rest[:n]
+		b = rest[n:]
+		// A message opens with its signed type id, sign in the low bit:
+		// negative ids define types, positive ones carry the value.
+		if id, body := gobUint(msg); id&1 == 0 {
+			h.Write(body)
+		}
+	}
+	return h.Sum64(), nil
+}
+
+// gobUint splits one gob unsigned integer off the front of b: a byte
+// below 0x80 is the value itself, any other is the negated count of the
+// big-endian value bytes that follow.
+func gobUint(b []byte) (uint64, []byte) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), b[1:]
+	}
+	n := int(-int8(b[0]))
+	var x uint64
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, b[1+n:]
 }

@@ -257,6 +257,64 @@ func TestOwnersRejectLegacyFiles(t *testing.T) {
 // FuzzEnvelopeOpen holds Open to its contract for every format's
 // identity: it never panics, every rejection is ErrCorrupt, and it
 // accepts only bytes that re-Seal to themselves.
+// TestGobDigestIgnoresTypeIDs proves GobDigest identifies the value,
+// not the process: two same-shaped types get different gob type ids and
+// names, so their encodings differ, yet equal values digest equally;
+// any field change, a nil pointer made non-nil included, shows.
+func TestGobDigestIgnoresTypeIDs(t *testing.T) {
+	type innerA struct {
+		Xs []uint64
+		S  string
+	}
+	type outerA struct {
+		In []innerA
+		F  float64
+		P  *innerA
+	}
+	type innerB struct {
+		Xs []uint64
+		S  string
+	}
+	type outerB struct {
+		In []innerB
+		F  float64
+		P  *innerB
+	}
+	a := outerA{In: []innerA{{Xs: []uint64{1, 2}, S: "x"}, {}}, F: 0.5}
+	b := outerB{In: []innerB{{Xs: []uint64{1, 2}, S: "x"}, {}}, F: 0.5}
+	var ea, eb bytes.Buffer
+	if err := gob.NewEncoder(&ea).Encode(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&eb).Encode(b); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(ea.Bytes(), eb.Bytes()) {
+		t.Fatal("encodings of distinct types are equal; the test proves nothing")
+	}
+	digest := func(v any) uint64 {
+		t.Helper()
+		d, err := envelope.GobDigest(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	want := digest(a)
+	if got := digest(b); got != want {
+		t.Fatalf("same value, different type ids: digest %016x, want %016x", got, want)
+	}
+	a.In[1].Xs = []uint64{0}
+	if digest(a) == want {
+		t.Fatal("digest ignores a slice element")
+	}
+	a.In[1].Xs = nil
+	a.P = &innerA{}
+	if digest(a) == want {
+		t.Fatal("digest ignores a nil pointer made non-nil")
+	}
+}
+
 func FuzzEnvelopeOpen(f *testing.F) {
 	fs := formats(f)
 	for _, ff := range fs {

@@ -175,7 +175,7 @@ func TestCacheStaleSchemaRecomputed(t *testing.T) {
 // into the cache_hits/cache_misses/cache_rejects registry counters.
 func TestCacheLRUBackendAndMetrics(t *testing.T) {
 	cfg := tinyConfig()
-	cache := resultcache.NewLRU(64, CacheSchemaVersion)
+	cache := resultcache.NewLRU(64)
 	reg := telemetry.NewRegistry()
 	run := func() *CampaignResult {
 		res, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Cache: cache, Metrics: reg})
@@ -206,7 +206,7 @@ func TestCacheLRUBackendAndMetrics(t *testing.T) {
 // all on the cache track, emitted from the supervisor goroutine.
 func TestCacheTracepoints(t *testing.T) {
 	cfg := tinyConfig()
-	cache := resultcache.NewLRU(64, CacheSchemaVersion)
+	cache := resultcache.NewLRU(64)
 	countEvents := func(ring *telemetry.Ring, id telemetry.EventID) int {
 		n := 0
 		for _, rec := range ring.Snapshot(nil) {
@@ -241,7 +241,7 @@ func TestCacheTracepoints(t *testing.T) {
 // counts are timing-dependent; correctness is not.)
 func TestCacheConcurrentCampaigns(t *testing.T) {
 	cfg := tinyConfig()
-	cache := resultcache.NewLRU(64, CacheSchemaVersion)
+	cache := resultcache.NewLRU(64)
 	want := Run(cfg).Samples
 	const campaigns = 6
 	results := make([][]Sample, campaigns)

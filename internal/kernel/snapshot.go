@@ -2,18 +2,13 @@ package kernel
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 
+	"contiguitas/internal/envelope"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/pressure"
 	"contiguitas/internal/psi"
 	"contiguitas/internal/stats"
 )
-
-// floatBits is the canonical bit pattern a float contributes to the
-// state hash.
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
 
 // Checkpoint/restore codec for the whole simulated machine.
 //
@@ -379,141 +374,18 @@ func Restore(cfg Config, st *State) (*Kernel, error) {
 // do.
 func (k *Kernel) PageAt(pfn uint64) *Page { return k.live.get(pfn) }
 
-// Hash computes the canonical state digest: a 64-bit FNV-1a over every
-// serialized field in a fixed order (map-valued scan statistics are
-// walked in ScanOrders order, never map order). Two machines with equal
-// hashes at the same tick are byte-equivalent for every serialized
-// structure; the chain hash in the snapshot envelope links these
-// per-checkpoint digests into a tamper-evident history.
+// Hash computes the canonical state digest: the FNV-1a of the state's
+// gob value bytes (envelope.GobDigest), the same bytes a checkpoint
+// carries, so every serialized field is covered by construction. Two
+// machines with equal hashes at the same tick are byte-equivalent for
+// every serialized structure; the chain hash in the snapshot envelope
+// links these per-checkpoint digests into a tamper-evident history.
 func (st *State) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(vs ...uint64) {
-		for _, v := range vs {
-			buf[0] = byte(v)
-			buf[1] = byte(v >> 8)
-			buf[2] = byte(v >> 16)
-			buf[3] = byte(v >> 24)
-			buf[4] = byte(v >> 32)
-			buf[5] = byte(v >> 40)
-			buf[6] = byte(v >> 48)
-			buf[7] = byte(v >> 56)
-			h.Write(buf[:])
-		}
+	h, err := envelope.GobDigest(st)
+	if err != nil {
+		panic("kernel: invariant violation: " + err.Error())
 	}
-	wb := func(v bool) {
-		if v {
-			w(1)
-		} else {
-			w(0)
-		}
-	}
-
-	w(st.MemBytes, uint64(st.Mode), st.Seed)
-	wb(st.HasHWMover)
-	w(st.Tick, st.Boundary, st.RNGS0, st.RNGS1)
-	w(st.WdMigStall, st.WdCompactStall)
-
-	c := &st.Counters
-	w(c.AllocOK, c.AllocFail, c.DirectReclaim, c.KswapdRuns, c.ReclaimedPages,
-		c.CompactRuns, c.CompactSuccess, c.CompactDeferred,
-		c.SWMigrations, c.SWMigrationCycles, c.HWMigrations, c.HWMigrationCycles, c.PinMigrations,
-		c.MigrationFailures, c.MigrationRetries, c.BackoffCycles, c.SWFallbacks, c.MigrationDeferred,
-		c.CarveFails, c.CompactRequeues, c.ResizeAborts, c.LivelockTrips,
-		c.Expands, c.Shrinks, c.ShrinkFails, c.BoundaryMovedPages,
-		c.AllocThrottled, c.ThrottleStallCycles, c.AllocShed,
-		c.EmergencyShrinks, c.EmergencyShrinkPages, c.EmergencyShrinkDeferred,
-		c.OOMKills, c.OOMKilledPages, c.THPFallbacks)
-
-	w(st.Phys.NPages)
-	for _, m := range st.Phys.Meta {
-		w(uint64(m))
-	}
-	for _, m := range st.Phys.PbMT {
-		w(uint64(m))
-	}
-	// FlIdx is a witness over the free lists hashed below; hashing it
-	// too would be redundant.
-
-	w(uint64(len(st.Regions)))
-	for _, bs := range st.Regions {
-		w(bs.Start, bs.End, uint64(bs.Policy))
-		wb(bs.Fallback)
-		w(bs.FreeTotal, bs.StealsConverting, bs.StealsPolluting)
-		for _, f := range bs.FreeByList {
-			w(f)
-		}
-		for o := 0; o <= mem.MaxOrder; o++ {
-			for mt := 0; mt < mem.NumMigrateTypes; mt++ {
-				l := bs.Lists[o][mt]
-				w(uint64(len(l)))
-				w(l...)
-			}
-		}
-	}
-
-	w(uint64(len(st.Live)))
-	for _, p := range st.Live {
-		w(p.PFN, uint64(uint32(p.CacheIdx)), uint64(uint8(p.Order)), uint64(p.MT), uint64(p.Src))
-		wb(p.Pinned)
-	}
-
-	w(uint64(len(st.Reclaimable)))
-	for _, e := range st.Reclaimable {
-		w(uint64(e))
-	}
-	w(uint64(st.ReclaimHead), st.ReclaimablePages)
-
-	w(uint64(len(st.Compact)))
-	for _, cs := range st.Compact {
-		w(uint64(cs.Region), uint64(cs.DeferShift), cs.DeferUntil)
-		for _, cur := range cs.Cursors {
-			w(cur)
-		}
-		w(uint64(len(cs.Retry)))
-		for _, t := range cs.Retry {
-			w(t.PFN, uint64(t.Order))
-		}
-	}
-
-	for _, tr := range st.PSI.Trackers {
-		w(floatBits(tr.Avg), floatBits(tr.Total), tr.Ticks)
-	}
-	for _, p := range st.PSI.Pending {
-		w(floatBits(p))
-	}
-
-	if st.Scan != nil {
-		s := st.Scan
-		w(s.TotalPages, s.FreePages, s.UnmovableFrames)
-		for _, v := range s.UnmovableBySource {
-			w(v)
-		}
-		for _, o := range mem.ScanOrders {
-			w(s.FreeContigPages[o], s.UnmovableBlocks[o], s.TotalBlocks[o], s.PotentialBlocks[o])
-		}
-	}
-
-	wb(st.HasPressure)
-	if st.Pressure != nil {
-		p := st.Pressure
-		wb(p.Gate.Shedding)
-		w(p.Gate.Since)
-		w(floatBits(p.GatePSI.Avg), floatBits(p.GatePSI.Total), p.GatePSI.Ticks)
-		for _, v := range p.Esc.Hits {
-			w(v)
-		}
-		for _, v := range p.Esc.FirstTick {
-			w(v)
-		}
-		w(uint64(len(p.OOMHistory)))
-		for _, kl := range p.OOMHistory {
-			w(kl.Tick, uint64(len(kl.Victim)))
-			h.Write([]byte(kl.Victim))
-			w(uint64(kl.Badness), kl.PagesFreed)
-		}
-	}
-	return h.Sum64()
+	return h
 }
 
 // StateHash exports the machine and returns its canonical digest. It is

@@ -5,6 +5,8 @@ import (
 
 	"contiguitas/internal/fault"
 	"contiguitas/internal/mem"
+	"contiguitas/internal/pressure"
+	"contiguitas/internal/statetest"
 	"contiguitas/internal/stats"
 )
 
@@ -187,24 +189,16 @@ func TestRestoreRejectsCorruptedState(t *testing.T) {
 }
 
 func TestStateHashSensitivity(t *testing.T) {
-	cfg := snapTestConfig(ModeLinux)
+	// Contiguitas with the pressure ladder, so Scan and Pressure are
+	// populated and their leaves are walked too.
+	cfg := snapTestConfig(ModeContiguitas)
+	cfg.HWMover = NewAnalyticMover()
+	cfg.Pressure = pressure.DefaultConfig()
 	k := New(cfg)
 	d := &snapDriver{k: k, rng: stats.NewRNG(11)}
 	for i := 0; i < 20; i++ {
 		d.step(t)
 	}
 	st := k.ExportState()
-	h := st.Hash()
-	st.Counters.AllocOK++
-	if st.Hash() == h {
-		t.Fatal("hash ignores counter changes")
-	}
-	st.Counters.AllocOK--
-	if st.Hash() != h {
-		t.Fatal("hash not deterministic")
-	}
-	st.Phys.Meta[0] ^= 0x80000000
-	if st.Hash() == h {
-		t.Fatal("hash ignores frame metadata changes")
-	}
+	statetest.RequireCovered(t, st, st.Hash)
 }

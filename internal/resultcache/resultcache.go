@@ -161,9 +161,9 @@ type lruEntry struct {
 }
 
 // NewLRU returns an in-memory cache bounded to capacity entries
-// (minimum 1). The schema argument keeps the constructor parallel to
-// NewDir; a process-local cache never outlives its schema.
-func NewLRU(capacity int, schema uint32) *LRU {
+// (minimum 1). It takes no schema: a process-local cache never outlives
+// the schema of the process that fills it.
+func NewLRU(capacity int) *LRU {
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -128,7 +128,7 @@ func TestDirRejectsSwappedKey(t *testing.T) {
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	c := NewLRU(2, 1)
+	c := NewLRU(2)
 	for k := uint64(1); k <= 2; k++ {
 		if err := c.Put(k, []byte{byte(k)}); err != nil {
 			t.Fatal(err)
@@ -157,7 +157,7 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 // TestLRUCopiesPayload: the cache must not alias the caller's buffer —
 // fleet reuses encode buffers across shards.
 func TestLRUCopiesPayload(t *testing.T) {
-	c := NewLRU(4, 1)
+	c := NewLRU(4)
 	buf := []byte("original")
 	if err := c.Put(5, buf); err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestLRUCopiesPayload(t *testing.T) {
 }
 
 func TestLRUConcurrentAccess(t *testing.T) {
-	c := NewLRU(64, 1)
+	c := NewLRU(64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -197,7 +197,7 @@ func TestLRUConcurrentAccess(t *testing.T) {
 // leader's Put.
 func TestFlightSingleComputation(t *testing.T) {
 	f := NewFlight()
-	c := NewLRU(8, 1)
+	c := NewLRU(8)
 	const goroutines = 16
 	var computations atomic.Uint64
 	var wg sync.WaitGroup

@@ -42,6 +42,7 @@ import (
 	"contiguitas/internal/obsv"
 	"contiguitas/internal/resultcache"
 	"contiguitas/internal/snapshot"
+	"contiguitas/internal/supervise"
 	"contiguitas/internal/telemetry"
 )
 
@@ -434,7 +435,7 @@ func (s *Scheduler) storeWrite(op func() error) error {
 	for attempt := 0; attempt < s.cfg.StoreRetries; attempt++ {
 		if attempt > 0 {
 			s.stStoreRetried.Add(1)
-			if serr := sleepCtx(s.root, backoff(s.cfg.BackoffBase, s.cfg.BackoffCap, attempt)); serr != nil {
+			if serr := sleepCtx(s.root, supervise.Backoff(s.cfg.BackoffBase, s.cfg.BackoffCap, attempt)); serr != nil {
 				break
 			}
 		}
@@ -674,7 +675,7 @@ func (s *Scheduler) runCell(ctx context.Context, c *Campaign, idx int, cell Cell
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			s.stRetried.Add(1)
-			if err := sleepCtx(ctx, backoff(s.cfg.BackoffBase, s.cfg.BackoffCap, attempt)); err != nil {
+			if err := sleepCtx(ctx, supervise.Backoff(s.cfg.BackoffBase, s.cfg.BackoffCap, attempt)); err != nil {
 				return nil, err
 			}
 		}
@@ -730,14 +731,6 @@ func permanent(err error) bool {
 		errors.Is(err, snapshot.ErrShardMismatch) ||
 		errors.Is(err, snapshot.ErrCampaignMismatch) ||
 		errors.Is(err, snapshot.ErrNoManifest)
-}
-
-func backoff(base, ceil time.Duration, attempt int) time.Duration {
-	d := base << (attempt - 1)
-	if d > ceil || d <= 0 {
-		d = ceil
-	}
-	return d
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

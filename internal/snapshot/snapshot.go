@@ -14,8 +14,8 @@
 // corruption, or a hand-edited field — is rejected with a typed error.
 //
 // Hash-chain semantics. Each checkpoint's StateHash is the canonical
-// digest of the full machine (kernel state hash extended with the
-// runner and injector digests). ChainHash links checkpoints:
+// digest of the full machine (kernel, runner and injector layers; see
+// HashMachine). ChainHash links checkpoints:
 //
 //	chain_0 = mix(0, stateHash_0)
 //	chain_n = mix(chain_{n-1}, stateHash_n)
@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 
 	"contiguitas/internal/envelope"
 	"contiguitas/internal/fault"
@@ -55,9 +54,12 @@ import (
 //	4 — byte-deterministic bodies: the scan witness's per-order
 //	    counters are arrays instead of maps, and the flIdx witness is
 //	    zero outside free heads.
+//	5 — state identity is the digest of the gob value bytes
+//	    (envelope.GobDigest) instead of hand-written field walkers;
+//	    every StateHash and ChainHash changed, the body layout did not.
 const (
 	Magic   = "CTGSNAP"
-	Version = 4
+	Version = 5
 )
 
 // Typed decode failures. Envelope failures surface as ErrBadMagic,
@@ -109,89 +111,16 @@ func mix(chain, stateHash uint64) uint64 {
 }
 
 // HashMachine computes the canonical digest of a full machine state:
-// the kernel's own state hash extended with the runner and injector
-// digests. Nil layers contribute a fixed marker, so a faultless
-// checkpoint and a faulted one can never collide by omission.
+// the FNV-1a of the machine's gob value bytes (envelope.GobDigest), the
+// bytes a CTGSNAP payload carries for it. A nil Runner or Faults layer
+// encodes differently from an empty one, so a faultless checkpoint and
+// a faulted one can never collide by omission.
 func HashMachine(m *Machine) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(vs ...uint64) {
-		for _, v := range vs {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
+	h, err := envelope.GobDigest(m)
+	if err != nil {
+		panic("snapshot: invariant violation: " + err.Error())
 	}
-	ws := func(s string) {
-		w(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-
-	w(m.Kernel.Hash())
-
-	if m.Runner == nil {
-		w(0)
-	} else {
-		r := m.Runner
-		w(1, r.RNGS0, r.RNGS1)
-		w(uint64(len(r.Mappings)))
-		for _, ms := range r.Mappings {
-			w(ms.Bytes, uint64(len(ms.Blocks)))
-			w(ms.Blocks...)
-		}
-		w(uint64(len(r.Unmov)))
-		w(r.Unmov...)
-		w(uint64(len(r.Small)))
-		w(r.Small...)
-		w(r.UnmovHeld, r.MappingHeld)
-		w(uint64(len(r.Slab)))
-		for _, cs := range r.Slab {
-			ws(cs.Name)
-			w(uint64(len(cs.Pages)))
-			for _, ps := range cs.Pages {
-				w(ps.PFN, uint64(len(ps.Used)))
-				w(ps.Used...)
-				w(uint64(ps.Live))
-				if ps.Partial {
-					w(1)
-				} else {
-					w(0)
-				}
-			}
-			w(uint64(cs.Objects), uint64(cs.PagesHeld),
-				cs.PagesGrown, cs.PagesFreed, cs.AllocCalls, cs.FreeCalls)
-		}
-		w(uint64(len(r.SlabObjs)))
-		for _, so := range r.SlabObjs {
-			w(uint64(so.Cache), so.PFN, uint64(so.Slot))
-		}
-		w(r.UnmovableAllocFailures, r.TicksRun, math.Float64bits(r.ChurnCarry))
-		w(uint64(len(r.OOMBackoffUntil)))
-		w(r.OOMBackoffUntil...)
-		w(r.OOMKillsTaken)
-	}
-
-	if m.Faults == nil {
-		w(0)
-	} else {
-		f := m.Faults
-		w(1, f.Seed, uint64(len(f.Points)))
-		for _, p := range f.Points {
-			ws(p.Name)
-			w(math.Float64bits(p.Trig.Prob), p.Trig.EveryN)
-			w(uint64(len(p.Trig.OnHits)))
-			w(p.Trig.OnHits...)
-			w(p.Trig.From, p.Trig.Until)
-			w(p.S0, p.S1, p.Hits, p.Fired)
-		}
-		w(uint64(len(f.Retired)))
-		for _, p := range f.Retired {
-			ws(p.Name)
-			w(p.Hits, p.Fired)
-		}
-	}
-	return h.Sum64()
+	return h
 }
 
 // Seal fills an envelope's hash fields from its machine state and the

@@ -9,6 +9,7 @@ import (
 	"contiguitas/internal/envelope"
 	"contiguitas/internal/fault"
 	"contiguitas/internal/kernel"
+	"contiguitas/internal/statetest"
 	"contiguitas/internal/stats"
 	"contiguitas/internal/workload"
 )
@@ -49,7 +50,8 @@ func machineHash(k *kernel.Kernel, r *workload.Runner, inj *fault.Injector) uint
 }
 
 // TestEnvelopeRoundTrip proves a sealed envelope survives the disk:
-// write, read, verify, restore, and land on the identical machine hash.
+// write, read, verify, restore, and land on the identical machine hash,
+// and that the hash sees every field of the runner and injector layers.
 func TestEnvelopeRoundTrip(t *testing.T) {
 	cfg, inj := propConfig(true, 21)
 	k := kernel.New(cfg)
@@ -77,6 +79,13 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if h := machineHash(k2, r2, inj2); h != e.StateHash {
 		t.Fatalf("restored machine hash %016x, checkpoint %016x", h, e.StateHash)
 	}
+
+	// The machine hash covers every runner and injector field (the
+	// kernel layer is walked by kernel.TestStateHashSensitivity).
+	m := &got.Machine
+	hash := func() uint64 { return HashMachine(m) }
+	statetest.RequireCovered(t, m.Runner, hash)
+	statetest.RequireCovered(t, m.Faults, hash)
 }
 
 // restoreProp rebuilds the property-test machine from an envelope.

@@ -442,7 +442,7 @@ func Run(ctx context.Context, cfg Config) *Report {
 				}
 				st.Status = StatusPending
 				st.Resumed = true
-				retry := workItem{shard: res.shard, attempt: res.attempt + 1, delay: backoff(base, cap, res.attempt)}
+				retry := workItem{shard: res.shard, attempt: res.attempt + 1, delay: Backoff(base, cap, res.attempt)}
 				queue = append(queue, retry)
 				if cfg.Trace.Enabled() {
 					cfg.Trace.Emit(uint64(retry.attempt), telemetry.EvShardResume,
@@ -476,9 +476,10 @@ func Run(ctx context.Context, cfg Config) *Report {
 	}
 }
 
-// backoff returns the delay before retrying after `failed` failed
-// attempts: base doubled per failure, capped.
-func backoff(base, cap time.Duration, failed int) time.Duration {
+// Backoff returns the delay before retrying after `failed` failed
+// attempts: base doubled per failure, capped — min(base·2^(failed−1),
+// cap). The contigd scheduler's retry loops share it.
+func Backoff(base, cap time.Duration, failed int) time.Duration {
 	d := base
 	for i := 1; i < failed && d < cap; i++ {
 		d *= 2

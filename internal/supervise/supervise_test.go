@@ -248,8 +248,8 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 	base, cap := 5*time.Millisecond, 40*time.Millisecond
 	want := []time.Duration{5, 5, 10, 20, 40, 40, 40}
 	for failed, w := range want {
-		if got := backoff(base, cap, failed); got != w*time.Millisecond {
-			t.Fatalf("backoff(failed=%d) = %v, want %v", failed, got, w*time.Millisecond)
+		if got := Backoff(base, cap, failed); got != w*time.Millisecond {
+			t.Fatalf("Backoff(failed=%d) = %v, want %v", failed, got, w*time.Millisecond)
 		}
 	}
 }
