@@ -89,7 +89,22 @@ func benchCampaignCfg() fleet.Config {
 }
 
 func BenchmarkFleetCampaignCold(b *testing.B) {
+	benchColdCampaign(b, benchCampaignCfg())
+}
+
+// BenchmarkFleetCampaignColdContiguitas is the same cold campaign under
+// DesignContiguitas, the only design whose regions allocate from
+// address-ordered free lists (§3.2 placement bias).
+func BenchmarkFleetCampaignColdContiguitas(b *testing.B) {
 	cfg := benchCampaignCfg()
+	cfg.Design = core.DesignContiguitas
+	b.ReportAllocs()
+	benchColdCampaign(b, cfg)
+}
+
+// benchColdCampaign runs cfg's campaign b.N times against an empty
+// result cache, so every shard is simulated.
+func benchColdCampaign(b *testing.B, cfg fleet.Config) {
 	for i := 0; i < b.N; i++ {
 		cache := resultcache.NewLRU(16)
 		res, err := fleet.RunSupervised(context.Background(), fleet.SupervisedConfig{Fleet: cfg, Cache: cache})
@@ -251,6 +266,35 @@ func BenchmarkTableSizing(b *testing.B) {
 func BenchmarkBuddyAllocFree4K(b *testing.B) {
 	pm := mem.NewPhysMem(256 << 20)
 	bd := mem.NewBuddy(pm, 0, pm.NPages, mem.PolicyLIFO, true, mem.MigrateMovable)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pfn, ok := bd.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
+		if !ok {
+			b.Fatal("oom")
+		}
+		bd.Free(pfn)
+	}
+}
+
+// BenchmarkBuddyAllocFree4KOrdered is the placement-biased twin of
+// BenchmarkBuddyAllocFree4K: a PolicyHighestPFN region whose order-0
+// list holds 32768 scattered free heads (every other frame allocated),
+// so each alloc/free pair pops and re-pushes the highest head of a
+// large address-ordered list.
+func BenchmarkBuddyAllocFree4KOrdered(b *testing.B) {
+	pm := mem.NewPhysMem(256 << 20)
+	bd := mem.NewBuddy(pm, 0, pm.NPages, mem.PolicyHighestPFN, false, mem.MigrateMovable)
+	for i := uint64(0); i < pm.NPages; i++ {
+		if _, ok := bd.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser); !ok {
+			b.Fatal("fill")
+		}
+	}
+	for pfn := uint64(1); pfn < pm.NPages; pfn += 2 {
+		if err := bd.Free(pfn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pfn, ok := bd.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)

@@ -95,7 +95,12 @@ func DefaultFragmenter(seed uint64) Fragmenter { return workload.DefaultFragment
 // Kernel is the simulated memory manager (advanced use).
 type Kernel = kernel.Kernel
 
-// Page is a relocatable allocation handle.
+// Handle names one relocatable allocation; Kernel.Page reads its
+// current record.
+type Handle = kernel.Handle
+
+// Page is the record of one allocation: current PFN, order, class,
+// source and pin state.
 type Page = kernel.Page
 
 // Block orders of interest, re-exported from the physical memory model.

@@ -114,17 +114,6 @@ func NewMachine(mc MachineConfig) *Machine {
 	return &Machine{Design: mc.Design, K: kernel.New(mc.KernelConfig())}
 }
 
-// RestoreMachine rebuilds a server from a checkpointed kernel state.
-// mc must describe the machine the checkpoint was taken on; the
-// fingerprint is validated by kernel.Restore.
-func RestoreMachine(mc MachineConfig, st *kernel.State) (*Machine, error) {
-	k, err := kernel.Restore(mc.KernelConfig(), st)
-	if err != nil {
-		return nil, err
-	}
-	return &Machine{Design: mc.Design, K: k}, nil
-}
-
 // Attach runs a workload profile on the machine.
 func (m *Machine) Attach(p workload.Profile, seed uint64) *workload.Runner {
 	return workload.NewRunner(m.K, p, seed)

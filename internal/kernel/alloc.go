@@ -29,7 +29,16 @@ const (
 // allocation in the class's region; the slow path mirrors the kernel:
 // direct reclaim, then compaction for high-order movable requests, then
 // (ModeContiguitas, unmovable classes) an urgent boundary expansion.
-func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (*Page, error) {
+func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (Handle, error) {
+	p, err := k.alloc(order, mt, src)
+	if err != nil {
+		return Handle{}, err
+	}
+	return p.Handle(), nil
+}
+
+// alloc is Alloc returning the new allocation's record.
+func (k *Kernel) alloc(order int, mt mem.MigrateType, src mem.Source) (*Page, error) {
 	if k.shedAllocation(mt) {
 		// Admission control: fail fast with no stall and no reclaim —
 		// shedding exists precisely to stop failing requests from adding
@@ -105,8 +114,8 @@ func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (*Page, er
 	if k.tp.Enabled() {
 		k.tp.Emit(k.tick, telemetry.EvAlloc, pfn, uint64(order), uint64(mt))
 	}
-	p := k.newPage()
-	*p = Page{PFN: pfn, Order: int8(order), MT: mt, Src: src, cacheIdx: -1}
+	p := k.live.newSlot()
+	p.PFN, p.Order, p.MT, p.Src, p.cacheIdx = pfn, int8(order), mt, src, -1
 	k.live.set(pfn, p)
 	if k.sink != nil && !k.inCacheAlloc {
 		k.sink.OnAlloc(p, false)
@@ -115,18 +124,16 @@ func (k *Kernel) Alloc(order int, mt mem.MigrateType, src mem.Source) (*Page, er
 }
 
 // Free releases an allocation. Pinned pages must be unpinned first.
-// Misuse is reported, not fatal: freeing nil, a pinned page, or a stale
-// handle (double free, reclaimed page-cache handle) returns a typed
-// error and leaves the kernel untouched.
-func (k *Kernel) Free(p *Page) error {
-	if p == nil {
-		return ErrNilHandle
+// Misuse is reported, not fatal: freeing the zero handle, a pinned page,
+// or a stale handle (double free, reclaimed page-cache handle) returns
+// a typed error and leaves the kernel untouched.
+func (k *Kernel) Free(h Handle) error {
+	p, err := k.resolve(h, "Free")
+	if err != nil {
+		return err
 	}
 	if p.Pinned {
 		return fmt.Errorf("%w: Free of pfn %d; Unpin first", ErrPagePinned, p.PFN)
-	}
-	if k.live.get(p.PFN) != p {
-		return fmt.Errorf("%w: Free of pfn %d", ErrStaleHandle, p.PFN)
 	}
 	if k.tp.Enabled() {
 		k.tp.Emit(k.tick, telemetry.EvFree, p.PFN, uint64(p.Order), uint64(p.MT))
@@ -138,27 +145,31 @@ func (k *Kernel) Free(p *Page) error {
 		// Lazily detach from the reclaimable FIFO.
 		k.reclaimable[p.cacheIdx] = noCacheEntry
 		k.reclaimablePages -= p.Pages()
-		p.cacheIdx = -1
 	}
-	k.live.del(p.PFN)
-	mustFree(k.owningBuddy(p.PFN), p.PFN)
+	k.drop(k.owningBuddy(p.PFN), p)
 	return nil
 }
 
-// pageArenaChunk is the handle-arena batch size: large enough to take
-// the chunk malloc off the allocation hot path, small enough that a
-// chunk pinned by one long-lived handle wastes little.
-const pageArenaChunk = 2048
+// drop retires a live allocation that has left (or never joined) the
+// reclaimable FIFO: its frames return to buddy b and its slot is
+// recycled, turning every handle to it stale.
+func (k *Kernel) drop(b *mem.Buddy, p *Page) {
+	k.live.del(p.PFN)
+	mustFree(b, p.PFN)
+	k.live.release(p)
+}
 
-// newPage carves the next handle from the arena. Every handle is a
-// distinct, never-reused object (see the pageArena field comment).
-func (k *Kernel) newPage() *Page {
-	if len(k.pageArena) == 0 {
-		k.pageArena = make([]Page, pageArenaChunk)
+// resolve returns the record a handle names, or ErrNilHandle /
+// ErrStaleHandle naming the operation.
+func (k *Kernel) resolve(h Handle, op string) (*Page, error) {
+	if h == (Handle{}) {
+		return nil, ErrNilHandle
 	}
-	p := &k.pageArena[0]
-	k.pageArena = k.pageArena[1:]
-	return p
+	p := k.live.lookup(h)
+	if p == nil {
+		return nil, fmt.Errorf("%w: %s of slot %d generation %d", ErrStaleHandle, op, h.slot, h.gen)
+	}
+	return p, nil
 }
 
 // errNoMemory returns the memoized allocation-failure error for the
@@ -189,12 +200,12 @@ func (k *Kernel) owningBuddy(pfn uint64) *mem.Buddy {
 // time under pressure, so holders must treat the handle as advisory and
 // check Live. Unmovable filesystem buffers are ordinary unmovable
 // allocations, not page cache.
-func (k *Kernel) AllocPageCache(order int, src mem.Source) (*Page, error) {
+func (k *Kernel) AllocPageCache(order int, src mem.Source) (Handle, error) {
 	k.inCacheAlloc = true
-	p, err := k.Alloc(order, mem.MigrateMovable, src)
+	p, err := k.alloc(order, mem.MigrateMovable, src)
 	k.inCacheAlloc = false
 	if err != nil {
-		return nil, err
+		return Handle{}, err
 	}
 	p.cacheIdx = int32(len(k.reclaimable))
 	k.reclaimable = append(k.reclaimable, uint32(p.PFN))
@@ -202,12 +213,23 @@ func (k *Kernel) AllocPageCache(order int, src mem.Source) (*Page, error) {
 	if k.sink != nil {
 		k.sink.OnAlloc(p, true)
 	}
-	return p, nil
+	return p.Handle(), nil
 }
 
 // Live reports whether the handle still owns memory (page-cache handles
 // can be reclaimed behind the holder's back).
-func (k *Kernel) Live(p *Page) bool { return k.live.get(p.PFN) == p }
+func (k *Kernel) Live(h Handle) bool { return k.live.lookup(h) != nil }
+
+// Page returns a copy of the record a live handle names: its current
+// PFN, order, migratetype, source and pin state. A stale or zero
+// handle returns the zero Page; check Live first where the handle may
+// have been reclaimed.
+func (k *Kernel) Page(h Handle) Page {
+	if p := k.live.lookup(h); p != nil {
+		return *p
+	}
+	return Page{}
+}
 
 // Pin marks an allocation unmovable-in-place (DMA registration, RDMA,
 // zero-copy send). Under ModeContiguitas, a movable-region page is first
@@ -215,7 +237,11 @@ func (k *Kernel) Live(p *Page) bool { return k.live.get(p.PFN) == p }
 // them to the unmovable region and then marks them as unmovable"),
 // avoiding dynamic pollution of the movable region. The migration is a
 // software one — the page is not yet pinned, so access can be blocked.
-func (k *Kernel) Pin(p *Page) error {
+func (k *Kernel) Pin(h Handle) error {
+	p, err := k.resolve(h, "Pin")
+	if err != nil {
+		return err
+	}
 	if p.Pinned {
 		return nil
 	}
@@ -251,9 +277,11 @@ func (k *Kernel) Pin(p *Page) error {
 }
 
 // Unpin clears the pinned state. The page stays where it is; under
-// ModeContiguitas it remains in the unmovable region until freed.
-func (k *Kernel) Unpin(p *Page) {
-	if !p.Pinned {
+// ModeContiguitas it remains in the unmovable region until freed. A
+// stale handle is a no-op.
+func (k *Kernel) Unpin(h Handle) {
+	p := k.live.lookup(h)
+	if p == nil || !p.Pinned {
 		return
 	}
 	p.Pinned = false

@@ -382,10 +382,8 @@ func (k *Kernel) clearAllocation(b *mem.Buddy, handle *Page, start, end uint64, 
 		if handle.cacheIdx >= 0 {
 			k.reclaimable[handle.cacheIdx] = noCacheEntry
 			k.reclaimablePages -= size
-			handle.cacheIdx = -1
 		}
-		k.live.del(src)
-		mustFree(b, src)
+		k.drop(b, handle)
 		k.ReclaimedPages += size
 
 	case handle.MT == mem.MigrateMovable && !handle.Pinned:

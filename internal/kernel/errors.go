@@ -33,12 +33,18 @@ var (
 	// back; the caller defers and retries.
 	ErrEvacIncomplete = errors.New("kernel: evacuation incomplete")
 
-	// ErrStaleHandle reports a Free of a handle the kernel no longer
-	// recognises (double free, or a reclaimed page-cache handle).
+	// ErrStaleHandle reports a Free or Pin of a handle the kernel no
+	// longer recognises (double free, or a reclaimed page-cache handle),
+	// even after its slot has been reused by a newer allocation.
 	ErrStaleHandle = errors.New("kernel: stale or unknown handle")
 
-	// ErrNilHandle reports a Free(nil).
+	// ErrNilHandle reports an operation on the zero Handle.
 	ErrNilHandle = errors.New("kernel: nil handle")
+
+	// ErrBadConfig reports a Config that New cannot boot (see
+	// Config.Validate). New panics with it; admission layers call
+	// Validate first and reject the request instead.
+	ErrBadConfig = errors.New("kernel: invalid config")
 
 	// ErrLivelock reports that the progress watchdog detected a
 	// migration retry ladder or compaction requeue loop burning cycles

@@ -6,40 +6,29 @@ import (
 )
 
 // Mapping is a user-space memory area backed by a mix of page sizes —
-// the outcome of THP's opportunistic huge-page allocation. The blocks
-// slice holds the kernel handles backing the area.
+// the outcome of THP's opportunistic huge-page allocation. Blocks holds
+// the kernel handles backing the area.
 type Mapping struct {
 	Bytes  uint64
-	Blocks []*Page
+	Blocks []Handle
+
+	// small counts the base-page blocks; tailSmall reports that they
+	// all sit at the end of Blocks, the layout Promote keeps. Together
+	// they let Promote find the base pages without reading any block's
+	// record. A Mapping built outside the kernel (a restore) has
+	// neither set, so its first Promote partitions it.
+	small     int
+	tailSmall bool
 }
 
-// Coverage returns the fraction of the mapping's frames backed by blocks
-// of at least the given order — the huge-page coverage that drives the
-// address-translation model.
-func (m *Mapping) Coverage(order int) float64 {
-	var total, covered uint64
-	for _, b := range m.Blocks {
-		total += b.Pages()
-		if int(b.Order) >= order {
-			covered += b.Pages()
-		}
+// add appends a freshly allocated block of the given order.
+func (m *Mapping) add(h Handle, order int) {
+	if order == mem.Order4K {
+		m.small++
+	} else if m.small > 0 {
+		m.tailSmall = false
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(covered) / float64(total)
-}
-
-// BlockCount returns how many blocks of exactly the given order back the
-// mapping.
-func (m *Mapping) BlockCount(order int) int {
-	n := 0
-	for _, b := range m.Blocks {
-		if int(b.Order) == order {
-			n++
-		}
-	}
-	return n
+	m.Blocks = append(m.Blocks, h)
 }
 
 // AllocUser allocates user anonymous memory. With thp enabled it
@@ -55,19 +44,19 @@ func (k *Kernel) AllocUser(bytes uint64, thp bool) (*Mapping, error) {
 // the natural next step once Contiguitas makes gigabyte contiguity
 // reliable. The fallback ladder is 1 GB → 2 MB → 4 KB.
 func (k *Kernel) AllocUserTHP(bytes uint64, thp, thp1G bool) (*Mapping, error) {
-	m := &Mapping{Bytes: bytes}
+	m := &Mapping{Bytes: bytes, tailSmall: true}
 	remaining := mem.BytesToPages(bytes)
 	for remaining > 0 {
 		if thp1G && remaining >= mem.OrderPages(mem.Order1G) {
 			if p, err := k.Alloc(mem.Order1G, mem.MigrateMovable, mem.SrcUser); err == nil {
-				m.Blocks = append(m.Blocks, p)
+				m.add(p, mem.Order1G)
 				remaining -= mem.OrderPages(mem.Order1G)
 				continue
 			}
 		}
 		if thp && remaining >= mem.PageblockPages {
 			if p, err := k.Alloc(mem.Order2M, mem.MigrateMovable, mem.SrcUser); err == nil {
-				m.Blocks = append(m.Blocks, p)
+				m.add(p, mem.Order2M)
 				remaining -= mem.PageblockPages
 				continue
 			}
@@ -85,7 +74,7 @@ func (k *Kernel) AllocUserTHP(bytes uint64, thp, thp1G bool) (*Mapping, error) {
 					k.FreeMapping(m)
 					return nil, err
 				}
-				m.Blocks = append(m.Blocks, p)
+				m.add(p, mem.Order4K)
 				remaining--
 			}
 			continue
@@ -95,7 +84,7 @@ func (k *Kernel) AllocUserTHP(bytes uint64, thp, thp1G bool) (*Mapping, error) {
 			k.FreeMapping(m)
 			return nil, err
 		}
-		m.Blocks = append(m.Blocks, p)
+		m.add(p, mem.Order4K)
 		remaining--
 	}
 	return m, nil
@@ -108,29 +97,24 @@ func (k *Kernel) FreeMapping(m *Mapping) {
 			k.Free(b)
 		}
 	}
-	m.Blocks = nil
+	m.Blocks, m.small, m.tailSmall = nil, 0, true
 }
 
 // Promote runs a khugepaged pass over the mapping: groups of 512 base
 // pages are collapsed into freshly allocated 2 MB blocks, paying one
 // software migration per page moved. maxCollapses bounds the work per
 // pass (0 = unlimited). Returns the number of collapses performed.
+//
+// Base pages are kept at the tail of Blocks (in allocation order) with
+// larger blocks, new huge ones included, ahead of them, so a pass reads
+// no block record once the mapping is partitioned.
 func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
-	collapses := 0
-	// Partition into kernel-owned scratch buffers: Promote runs for every
-	// mapping every tick in the workload driver, and per-call slice growth
-	// dominated allocation profiles.
-	small := k.promoteSmall[:0]
-	rest := k.promoteRest[:0]
-	for _, b := range m.Blocks {
-		if b.Order == mem.Order4K {
-			small = append(small, b)
-		} else {
-			rest = append(rest, b)
-		}
+	if !m.tailSmall {
+		k.partitionSmall(m)
 	}
-	next := 0
-	for len(small)-next >= mem.PageblockPages {
+	rest := len(m.Blocks) - m.small
+	collapses, next := 0, rest
+	for len(m.Blocks)-next >= mem.PageblockPages {
 		if maxCollapses > 0 && collapses >= maxCollapses {
 			break
 		}
@@ -138,9 +122,7 @@ func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
 		if err != nil {
 			break
 		}
-		group := small[next : next+mem.PageblockPages]
-		next += mem.PageblockPages
-		for _, p := range group {
+		for _, p := range m.Blocks[next : next+mem.PageblockPages] {
 			// Collapse: copy the base page into the huge block.
 			k.SWMigrations++
 			cycles := k.migCost.UnavailableCycles(k.cfg.Victims)
@@ -150,21 +132,41 @@ func (k *Kernel) Promote(m *Mapping, maxCollapses int) int {
 			}
 			k.Free(p)
 		}
-		rest = append(rest, huge)
+		next += mem.PageblockPages
+		// Collapsed groups lie behind this position, so it is free.
+		m.Blocks[rest+collapses] = huge
 		collapses++
 	}
-	m.Blocks = append(m.Blocks[:0], rest...)
-	m.Blocks = append(m.Blocks, small[next:]...)
-	k.promoteSmall = small[:0]
-	k.promoteRest = rest[:0]
+	if collapses > 0 {
+		m.small = copy(m.Blocks[rest+collapses:], m.Blocks[next:])
+		m.Blocks = m.Blocks[:rest+collapses+m.small]
+	}
 	return collapses
+}
+
+// partitionSmall stably moves m's base pages behind its larger blocks,
+// the layout Promote works on.
+func (k *Kernel) partitionSmall(m *Mapping) {
+	small := k.promoteSmall[:0]
+	w := 0
+	for _, b := range m.Blocks {
+		if k.live.lookup(b).Order == mem.Order4K {
+			small = append(small, b)
+		} else {
+			m.Blocks[w] = b
+			w++
+		}
+	}
+	m.Blocks = append(m.Blocks[:w], small...)
+	m.small, m.tailSmall = len(small), true
+	k.promoteSmall = small[:0]
 }
 
 // HugeTLBResult reports a dynamic HugeTLB reservation attempt.
 type HugeTLBResult struct {
 	Requested int
 	Allocated int
-	Pages     []*Page
+	Pages     []Handle
 }
 
 // AllocHugeTLB dynamically reserves count huge pages of the given order

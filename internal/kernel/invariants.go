@@ -85,6 +85,9 @@ func (k *Kernel) CheckInvariants() error {
 	if allocatedBlocks != k.live.len() {
 		return fmt.Errorf("%d allocated blocks in the frame table, %d live handles", allocatedBlocks, k.live.len())
 	}
+	if inUse := k.live.inUse(); inUse != allocatedBlocks {
+		return fmt.Errorf("%d allocated blocks, %d slots in use", allocatedBlocks, inUse)
+	}
 	if freeFrames != k.FreePages() {
 		return fmt.Errorf("frame table holds %d free frames, allocators report %d", freeFrames, k.FreePages())
 	}

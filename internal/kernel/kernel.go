@@ -53,7 +53,10 @@ func (m Mode) String() string {
 // boundary. Internal kernel activity (compaction moves, resizing
 // evacuations) is deliberately not reported — a replayed trace must
 // trigger that machinery in the replaying kernel, not duplicate it.
-// The trace package's Recorder is the canonical implementation.
+// The trace package's Recorder is the canonical implementation. The
+// record a sink receives describes the allocation only for the
+// duration of the call (its slot is recycled once the block is freed);
+// sinks that track allocations key them on p.Handle().
 type EventSink interface {
 	OnAlloc(p *Page, pageCache bool)
 	OnFree(p *Page)
@@ -184,18 +187,20 @@ func DefaultConfig(mode Mode) Config {
 	}
 }
 
-// Page is the handle for one allocated block. The kernel may relocate the
-// block (compaction, region resizing, Contiguitas-HW migration); PFN is
-// updated in place so holders always observe the current frame, the way
-// page tables would after a migration.
+// Page is the kernel's record of one allocated block, kept in a slot
+// of the live table and named from outside by a Handle. The kernel may
+// relocate the block (compaction, region resizing, Contiguitas-HW
+// migration); PFN is updated in place so holders always observe the
+// current frame, the way page tables would after a migration.
 type Page struct {
 	PFN uint64
 
 	// cacheIdx is the allocation's index in the reclaimable FIFO, or -1.
-	// int32 (with the byte-wide fields below) keeps the struct at 16
-	// bytes; handles dominate the simulator's heap churn, so size
-	// matters here.
+	// int32 (with the byte-wide fields below) keeps the record at 24
+	// bytes; the slot table holds one per live allocation.
 	cacheIdx int32
+	// slot and gen are the record's own handle (see Handle).
+	slot, gen uint32
 
 	// Order is int8 (orders are 0..MaxOrder=18) for the same reason.
 	Order  int8
@@ -204,8 +209,14 @@ type Page struct {
 	Pinned bool
 }
 
+// Handle returns the handle naming this allocation. Event sinks, which
+// receive records rather than handles, use it as a stable key: the
+// record's slot is reused by a later allocation once this one is
+// freed, the handle's generation is not.
+func (p *Page) Handle() Handle { return Handle{slot: p.slot, gen: p.gen} }
+
 // Pages returns the number of 4 KB frames in the block.
-func (p *Page) Pages() uint64 { return mem.OrderPages(int(p.Order)) }
+func (p Page) Pages() uint64 { return mem.OrderPages(int(p.Order)) }
 
 // Counters aggregates the kernel's observable behaviour.
 type Counters struct {
@@ -284,8 +295,8 @@ type Kernel struct {
 	tick uint64
 	rng  *stats.RNG
 
-	// live maps block-head PFN to its handle so relocations can update
-	// holders transparently.
+	// live holds the allocation records and maps each block-head PFN
+	// to its record, so relocations update holders transparently.
 	live *liveTable
 
 	// reclaimable is a FIFO of droppable (page-cache-like) allocations,
@@ -321,17 +332,10 @@ type Kernel struct {
 	wdMigStall     uint64
 	wdCompactStall uint64
 
-	// promoteSmall/promoteRest are scratch buffers reused across Promote
-	// calls (khugepaged runs per mapping per tick).
-	promoteSmall []*Page
-	promoteRest  []*Page
+	// promoteSmall is a scratch buffer reused across Promote's
+	// partitioning passes.
+	promoteSmall []Handle
 
-	// pageArena batches handle allocation: Pages are carved from chunks
-	// so the hot path pays one heap allocation per chunk instead of one
-	// per Alloc. Handles are never recycled, so the identity-based
-	// stale-handle detection keeps its exact semantics; a chunk is only
-	// collected once every handle carved from it is unreachable.
-	pageArena []Page
 	// noMemErr memoizes the per-(order, migratetype) ErrNoMemory values:
 	// overcommitted studies fail millions of allocations, and formatting
 	// a fresh error per failure dominated their allocation profiles.
@@ -364,18 +368,41 @@ type Kernel struct {
 	// single predictable branch. reg is the lazily-built metric registry
 	// binding the Counters fields; sampler snapshots it each EndTick. The
 	// histograms record per-migration latencies once the registry exists.
-	tp      *telemetry.Ring
-	reg     *telemetry.Registry
-	sampler *telemetry.Sampler
+	tp                                          *telemetry.Ring
+	reg                                         *telemetry.Registry
+	sampler                                     *telemetry.Sampler
 	histSW, histHW, histBackoff, histAllocStall *telemetry.Histogram
 
 	Counters
 }
 
-// New boots a simulated machine.
+// Validate reports, as ErrBadConfig, a configuration New cannot boot:
+// memory that is not a positive multiple of the 2 MB pageblock, an
+// unknown mode, or (ModeContiguitas) an initial unmovable region that
+// aligns down to no pageblock or leaves no movable one.
+func (cfg Config) Validate() error {
+	if cfg.MemBytes == 0 || cfg.MemBytes%mem.OrderBytes(mem.PageblockOrder) != 0 {
+		return fmt.Errorf("%w: memory size %d bytes is not a positive multiple of 2 MB", ErrBadConfig, cfg.MemBytes)
+	}
+	switch cfg.Mode {
+	case ModeLinux:
+	case ModeContiguitas:
+		b := alignPageblock(mem.BytesToPages(cfg.InitialUnmovableBytes))
+		if b == 0 || b >= mem.BytesToPages(cfg.MemBytes) {
+			return fmt.Errorf("%w: initial unmovable size %d bytes gives %d of %d pageblocks",
+				ErrBadConfig, cfg.InitialUnmovableBytes, b/mem.PageblockPages, cfg.MemBytes/mem.OrderBytes(mem.PageblockOrder))
+		}
+	default:
+		return fmt.Errorf("%w: unknown mode %d", ErrBadConfig, cfg.Mode)
+	}
+	return nil
+}
+
+// New boots a simulated machine. A configuration Validate rejects is a
+// programming error here and panics.
 func New(cfg Config) *Kernel {
-	if cfg.MemBytes == 0 {
-		panic("kernel: zero memory size")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	pm := mem.NewPhysMem(cfg.MemBytes)
 	k := &Kernel{
@@ -390,11 +417,7 @@ func New(cfg Config) *Kernel {
 	case ModeLinux:
 		k.zone = mem.NewBuddy(pm, 0, pm.NPages, mem.PolicyLIFO, !cfg.NoFallbackStealing, mem.MigrateMovable)
 	case ModeContiguitas:
-		b := mem.BytesToPages(cfg.InitialUnmovableBytes)
-		b = alignPageblock(b)
-		if b == 0 || b >= pm.NPages {
-			panic("kernel: invalid initial unmovable size")
-		}
+		b := alignPageblock(mem.BytesToPages(cfg.InitialUnmovableBytes))
 		k.boundary = b
 		unmovPolicy, movPolicy := mem.PolicyLowestPFN, mem.PolicyHighestPFN
 		if cfg.NoPlacementBias {
@@ -402,8 +425,6 @@ func New(cfg Config) *Kernel {
 		}
 		k.unmov = mem.NewBuddy(pm, 0, b, unmovPolicy, false, mem.MigrateUnmovable)
 		k.mov = mem.NewBuddy(pm, b, pm.NPages, movPolicy, false, mem.MigrateMovable)
-	default:
-		panic("kernel: unknown mode")
 	}
 	if cfg.Faults != nil {
 		cfg.Faults.SetClock(func() uint64 { return k.tick })

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"contiguitas/internal/mem"
@@ -57,15 +58,15 @@ func TestAllocRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.PFN >= k.Boundary() {
-		t.Fatalf("unmovable alloc at %d beyond boundary %d", u.PFN, k.Boundary())
+	if k.Page(u).PFN >= k.Boundary() {
+		t.Fatalf("unmovable alloc at %d beyond boundary %d", k.Page(u).PFN, k.Boundary())
 	}
 	m, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PFN < k.Boundary() {
-		t.Fatalf("movable alloc at %d below boundary %d", m.PFN, k.Boundary())
+	if k.Page(m).PFN < k.Boundary() {
+		t.Fatalf("movable alloc at %d below boundary %d", k.Page(m).PFN, k.Boundary())
 	}
 	k.Free(u)
 	k.Free(m)
@@ -83,7 +84,7 @@ func TestFreeMisuseReturnsTypedErrors(t *testing.T) {
 	if err := k.Free(p); !errors.Is(err, ErrStaleHandle) {
 		t.Fatalf("double free: got %v, want ErrStaleHandle", err)
 	}
-	if err := k.Free(nil); !errors.Is(err, ErrNilHandle) {
+	if err := k.Free(Handle{}); !errors.Is(err, ErrNilHandle) {
 		t.Fatalf("Free(nil): got %v, want ErrNilHandle", err)
 	}
 	q, _ := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
@@ -108,19 +109,19 @@ func TestPinMigratesToUnmovableRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PFN < k.Boundary() {
+	if k.Page(p).PFN < k.Boundary() {
 		t.Fatal("movable alloc must start in movable region")
 	}
 	if err := k.Pin(p); err != nil {
 		t.Fatal(err)
 	}
-	if p.PFN >= k.Boundary() {
-		t.Fatalf("pinned page at %d must have moved below boundary %d", p.PFN, k.Boundary())
+	if k.Page(p).PFN >= k.Boundary() {
+		t.Fatalf("pinned page at %d must have moved below boundary %d", k.Page(p).PFN, k.Boundary())
 	}
-	if !p.Pinned || !k.PM().IsPinned(p.PFN) {
+	if !k.Page(p).Pinned || !k.PM().IsPinned(k.Page(p).PFN) {
 		t.Fatal("page not marked pinned")
 	}
-	if p.MT != mem.MigrateUnmovable {
+	if k.Page(p).MT != mem.MigrateUnmovable {
 		t.Fatal("pinned page must become unmovable")
 	}
 	if k.PinMigrations != 1 {
@@ -133,11 +134,11 @@ func TestPinMigratesToUnmovableRegion(t *testing.T) {
 func TestPinInLinuxModeStaysPut(t *testing.T) {
 	k := New(testConfig(ModeLinux, 64*mb))
 	p, _ := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcNetworking)
-	before := p.PFN
+	before := k.Page(p).PFN
 	if err := k.Pin(p); err != nil {
 		t.Fatal(err)
 	}
-	if p.PFN != before {
+	if k.Page(p).PFN != before {
 		t.Fatal("linux pin must not migrate")
 	}
 	// The scatter: a pinned page now sits wherever it was.
@@ -149,7 +150,7 @@ func TestPinInLinuxModeStaysPut(t *testing.T) {
 
 func TestPageCacheReclaim(t *testing.T) {
 	k := New(testConfig(ModeLinux, 64*mb))
-	var pages []*Page
+	var pages []Handle
 	for i := 0; i < 100; i++ {
 		p, err := k.AllocPageCache(mem.Order4K, mem.SrcFilesystem)
 		if err != nil {
@@ -167,6 +168,85 @@ func TestPageCacheReclaim(t *testing.T) {
 	}
 	if !k.Live(pages[99]) {
 		t.Fatal("newest cache page must survive")
+	}
+}
+
+// TestStaleHandleAfterSlotReuse: freeing an allocation recycles its
+// slot for the next one, and the slot's generation keeps every handle
+// to the freed block stale.
+func TestStaleHandleAfterSlotReuse(t *testing.T) {
+	k := New(testConfig(ModeLinux, 64*mb))
+	old, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Free(old); err != nil {
+		t.Fatal(err)
+	}
+	reused, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcNetworking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused.slot != old.slot || reused == old {
+		t.Fatalf("old %+v, new %+v: want the same slot under a new generation", old, reused)
+	}
+	if k.Live(old) {
+		t.Fatal("handle to a freed block reports live after its slot was reused")
+	}
+	if err := k.Free(old); !errors.Is(err, ErrStaleHandle) {
+		t.Fatalf("Free of the old handle: got %v, want ErrStaleHandle", err)
+	}
+	if err := k.Pin(old); !errors.Is(err, ErrStaleHandle) {
+		t.Fatalf("Pin of the old handle: got %v, want ErrStaleHandle", err)
+	}
+	k.Unpin(old) // a no-op, not a touch of the new allocation
+	if k.Page(old) != (Page{}) {
+		t.Fatalf("Page of the old handle = %+v, want the zero record", k.Page(old))
+	}
+	if !k.Live(reused) || k.Page(reused).Src != mem.SrcNetworking {
+		t.Fatal("the new allocation was disturbed by its predecessor's handle")
+	}
+	if err := k.Free(reused); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReclaimedHandleStaysDeadAfterSlotReuse: reclaim retires a page
+// cache handle behind its holder's back; the slot it frees is recycled,
+// and the holder's handle must stay dead against the new occupant.
+func TestReclaimedHandleStaysDeadAfterSlotReuse(t *testing.T) {
+	k := New(testConfig(ModeLinux, 64*mb))
+	c, err := k.AllocPageCache(mem.Order4K, mem.SrcFilesystem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freed := k.reclaim(k.zone, 1); freed != 1 {
+		t.Fatalf("reclaim freed %d pages, want 1", freed)
+	}
+	if k.Live(c) {
+		t.Fatal("reclaimed handle reports live")
+	}
+	n, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.slot != c.slot {
+		t.Fatalf("reclaimed slot %d not recycled (new slot %d)", c.slot, n.slot)
+	}
+	if k.Live(c) {
+		t.Fatal("reclaimed handle came back to life when its slot was reused")
+	}
+	if err := k.Free(c); !errors.Is(err, ErrStaleHandle) {
+		t.Fatalf("Free of the reclaimed handle: got %v, want ErrStaleHandle", err)
+	}
+	if !k.Live(n) {
+		t.Fatal("Free of the reclaimed handle released the slot's new occupant")
+	}
+	if err := k.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -227,7 +307,7 @@ func TestCompactionCreatesHugePage(t *testing.T) {
 	k := New(cfg)
 	rng := stats.NewRNG(7)
 	// Fragment: fill with 4KB movable pages, free ~40% randomly.
-	var pages []*Page
+	var pages []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -250,7 +330,7 @@ func TestCompactionCreatesHugePage(t *testing.T) {
 	if k.CompactSuccess == 0 {
 		t.Fatal("compaction must have produced the block")
 	}
-	if p.Order != mem.Order2M {
+	if k.Page(p).Order != mem.Order2M {
 		t.Fatal("wrong order")
 	}
 	if err := k.zone.CheckInvariants(); err != nil {
@@ -263,7 +343,7 @@ func TestCompactionBudgetDefers(t *testing.T) {
 	cfg.CompactBudgetPerTick = 64 // far below any candidate's cost
 	k := New(cfg)
 	rng := stats.NewRNG(7)
-	var pages []*Page
+	var pages []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -296,13 +376,13 @@ func TestCompactionBlockedByScatteredUnmovable(t *testing.T) {
 	// can no longer form any huge page — the paper's core observation.
 	nblocks := k.PM().NumPageblocks()
 	placed := uint64(0)
-	var fill []*Page
+	var fill []Handle
 	for placed < nblocks {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk := k.PM().PageblockOf(p.PFN)
+		blk := k.PM().PageblockOf(k.Page(p).PFN)
 		if blk == placed {
 			placed++
 			continue
@@ -350,7 +430,7 @@ func TestUrgentExpandOnUnmovablePressure(t *testing.T) {
 	before := k.Boundary()
 	// Exhaust the unmovable region; the next allocation must trigger an
 	// urgent expansion rather than failing.
-	var pages []*Page
+	var pages []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 		if err != nil {
@@ -378,7 +458,7 @@ func TestExpandEvacuatesMovablePages(t *testing.T) {
 	// Occupy the bottom of the movable region so expansion must migrate.
 	// Movable allocations are highest-first, so grab everything, then
 	// free the top half.
-	var pages []*Page
+	var pages []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -390,7 +470,7 @@ func TestExpandEvacuatesMovablePages(t *testing.T) {
 	for i, p := range pages {
 		if i%4 != 3 {
 			k.Free(p)
-			pages[i] = nil
+			pages[i] = Handle{}
 		}
 	}
 	moved := k.ExpandUnmovable(16 * mb / mem.PageSize)
@@ -403,11 +483,11 @@ func TestExpandEvacuatesMovablePages(t *testing.T) {
 	// All surviving handles must still point at valid allocated frames
 	// in the movable region.
 	for _, p := range pages {
-		if p == nil {
+		if p == (Handle{}) {
 			continue
 		}
-		if p.PFN < k.Boundary() {
-			t.Fatalf("movable handle at %d below boundary %d", p.PFN, k.Boundary())
+		if k.Page(p).PFN < k.Boundary() {
+			t.Fatalf("movable handle at %d below boundary %d", k.Page(p).PFN, k.Boundary())
 		}
 		if !k.Live(p) {
 			t.Fatal("handle lost")
@@ -427,7 +507,7 @@ func TestShrinkWithoutHWStopsAtUnmovable(t *testing.T) {
 	k := New(cfg)
 	// Place an unmovable allocation near the top of the unmovable region
 	// by filling the region and freeing all but the top block.
-	var pages []*Page
+	var pages []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 		if err != nil {
@@ -439,9 +519,9 @@ func TestShrinkWithoutHWStopsAtUnmovable(t *testing.T) {
 		}
 		pages = append(pages, p)
 	}
-	var top *Page
+	var top Handle
 	for _, p := range pages {
-		if top == nil || p.PFN > top.PFN {
+		if top == (Handle{}) || k.Page(p).PFN > k.Page(top).PFN {
 			top = p
 		}
 	}
@@ -452,8 +532,8 @@ func TestShrinkWithoutHWStopsAtUnmovable(t *testing.T) {
 	}
 	got := k.ShrinkUnmovable(k.Boundary())
 	// Shrink must stop above the obstacle.
-	if k.Boundary() <= top.PFN {
-		t.Fatalf("boundary %d fell below the unmovable page %d", k.Boundary(), top.PFN)
+	if k.Boundary() <= k.Page(top).PFN {
+		t.Fatalf("boundary %d fell below the unmovable page %d", k.Boundary(), k.Page(top).PFN)
 	}
 	_ = got
 	if err := k.unmov.CheckInvariants(); err != nil {
@@ -468,7 +548,7 @@ func TestShrinkWithHWMovesUnmovable(t *testing.T) {
 	k := New(cfg)
 	// Same obstacle as before, but with Contiguitas-HW the page is
 	// live-migrated downward and the shrink proceeds.
-	var pages []*Page
+	var pages []Handle
 	for uint64(len(pages)) < k.Boundary()/2 {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcNetworking)
 		if err != nil {
@@ -479,9 +559,9 @@ func TestShrinkWithHWMovesUnmovable(t *testing.T) {
 		}
 		pages = append(pages, p)
 	}
-	var top *Page
+	var top Handle
 	for _, p := range pages {
-		if top == nil || p.PFN > top.PFN {
+		if top == (Handle{}) || k.Page(p).PFN > k.Page(top).PFN {
 			top = p
 		}
 	}
@@ -499,10 +579,10 @@ func TestShrinkWithHWMovesUnmovable(t *testing.T) {
 	if k.HWMigrations == 0 {
 		t.Fatal("the pinned page must have been HW-migrated")
 	}
-	if top.PFN >= k.Boundary() {
-		t.Fatalf("pinned page at %d outside new unmovable region %d", top.PFN, k.Boundary())
+	if k.Page(top).PFN >= k.Boundary() {
+		t.Fatalf("pinned page at %d outside new unmovable region %d", k.Page(top).PFN, k.Boundary())
 	}
-	if !k.PM().IsPinned(top.PFN) {
+	if !k.PM().IsPinned(k.Page(top).PFN) {
 		t.Fatal("pin flag lost across HW migration")
 	}
 	if err := k.unmov.CheckInvariants(); err != nil {
@@ -535,7 +615,7 @@ func TestAllocUserTHP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cov := m.Coverage(mem.Order2M); cov != 1.0 {
+	if cov := coverage(k, m, mem.Order2M); cov != 1.0 {
 		t.Fatalf("THP coverage on fresh machine = %v, want 1", cov)
 	}
 	k.FreeMapping(m)
@@ -543,10 +623,10 @@ func TestAllocUserTHP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cov := m.Coverage(mem.Order2M); cov != 0 {
+	if cov := coverage(k, m, mem.Order2M); cov != 0 {
 		t.Fatalf("no-THP coverage = %v, want 0", cov)
 	}
-	if m.BlockCount(mem.Order4K) != int(10*mb/mem.PageSize) {
+	if blockCount(k, m, mem.Order4K) != int(10*mb/mem.PageSize) {
 		t.Fatal("wrong 4K block count")
 	}
 	k.FreeMapping(m)
@@ -562,8 +642,63 @@ func TestPromoteCollapsesBasePages(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("collapses = %d, want 2", n)
 	}
-	if cov := m.Coverage(mem.Order2M); cov != 1.0 {
+	if cov := coverage(k, m, mem.Order2M); cov != 1.0 {
 		t.Fatalf("coverage after promote = %v", cov)
+	}
+	k.FreeMapping(m)
+	if k.LiveAllocations() != 0 {
+		t.Fatal("leak after promote+free")
+	}
+}
+
+// TestPromoteLayoutMatchesPartition: Promote keeps huge blocks ahead of
+// base pages, each in allocation order, whether the mapping came from
+// AllocUser (already partitioned) or was assembled block by block, as
+// a restore does. The expected layout is the one a full stable
+// partition pass yields: larger blocks, then each collapse's new huge
+// block, then the uncollapsed base pages.
+func TestPromoteLayoutMatchesPartition(t *testing.T) {
+	k := New(testConfig(ModeLinux, 64*mb))
+	alloc := func(order int) Handle {
+		h, err := k.Alloc(order, mem.MigrateMovable, mem.SrcUser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	var small []Handle
+	m := &Mapping{}
+	for i := 0; i < 700; i++ {
+		if i == 100 || i == 400 {
+			m.Blocks = append(m.Blocks, alloc(mem.Order2M))
+		}
+		h := alloc(mem.Order4K)
+		m.Blocks = append(m.Blocks, h)
+		small = append(small, h)
+	}
+	big := []Handle{m.Blocks[100], m.Blocks[401]}
+
+	if n := k.Promote(m, 1); n != 1 {
+		t.Fatalf("collapses = %d, want 1", n)
+	}
+	if huge := m.Blocks[2]; !k.Live(huge) || k.Page(huge).Order != mem.Order2M {
+		t.Fatalf("block after the old huge blocks is not the new 2 MB block")
+	}
+	want := append(append(big, m.Blocks[2]), small[mem.PageblockPages:]...)
+	if !slices.Equal(m.Blocks, want) {
+		t.Fatalf("layout after Promote differs from the stable partition")
+	}
+	for _, h := range small[:mem.PageblockPages] {
+		if k.Live(h) {
+			t.Fatal("collapsed base page still live")
+		}
+	}
+	// Too few base pages left: nothing changes.
+	if n := k.Promote(m, 0); n != 0 || !slices.Equal(m.Blocks, want) {
+		t.Fatalf("second Promote: %d collapses, layout changed %v", n, !slices.Equal(m.Blocks, want))
+	}
+	if err := k.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	k.FreeMapping(m)
 	if k.LiveAllocations() != 0 {
@@ -576,7 +711,7 @@ func TestHugeTLB1GFailsOnFragmentedLinux(t *testing.T) {
 	k := New(cfg)
 	// Scatter unmovable pages across the space.
 	rng := stats.NewRNG(3)
-	var movable []*Page
+	var movable []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -587,7 +722,7 @@ func TestHugeTLB1GFailsOnFragmentedLinux(t *testing.T) {
 	for i, p := range movable {
 		if rng.Bool(0.5) {
 			k.Free(p)
-			movable[i] = nil
+			movable[i] = Handle{}
 		}
 	}
 	for i := 0; i < 200; i++ {
@@ -610,7 +745,7 @@ func TestHugeTLB1GSucceedsOnContiguitas(t *testing.T) {
 		}
 	}
 	rng := stats.NewRNG(3)
-	var movable []*Page
+	var movable []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -621,7 +756,7 @@ func TestHugeTLB1GSucceedsOnContiguitas(t *testing.T) {
 	for i, p := range movable {
 		if rng.Bool(0.6) {
 			k.Free(p)
-			movable[i] = nil
+			movable[i] = Handle{}
 		}
 	}
 	res := k.AllocHugeTLB(mem.Order1G, 1)
@@ -682,7 +817,7 @@ func TestAnalyticMoverScalesWithOrder(t *testing.T) {
 func TestErrNoMemoryWrapped(t *testing.T) {
 	cfg := testConfig(ModeLinux, 16*mb)
 	k := New(cfg)
-	var pages []*Page
+	var pages []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -724,7 +859,7 @@ func TestKernelRandomisedWorkload(t *testing.T) {
 		cfg.HWMover = NewAnalyticMover()
 		k := New(cfg)
 		rng := stats.NewRNG(99)
-		var live []*Page
+		var live []Handle
 		for step := 0; step < 8000; step++ {
 			r := rng.Float64()
 			switch {
@@ -746,15 +881,15 @@ func TestKernelRandomisedWorkload(t *testing.T) {
 			case r < 0.60:
 				i := rng.Intn(len(live))
 				p := live[i]
-				if p.MT == mem.MigrateMovable && !p.Pinned && rng.Bool(0.5) {
-					if err := k.Pin(p); err == nil && mode == ModeContiguitas && p.PFN >= k.Boundary() {
+				if k.Page(p).MT == mem.MigrateMovable && !k.Page(p).Pinned && rng.Bool(0.5) {
+					if err := k.Pin(p); err == nil && mode == ModeContiguitas && k.Page(p).PFN >= k.Boundary() {
 						t.Fatal("pinned page outside unmovable region")
 					}
 				}
 			default:
 				i := rng.Intn(len(live))
 				p := live[i]
-				if p.Pinned {
+				if k.Page(p).Pinned {
 					k.Unpin(p)
 				}
 				k.Free(p)
@@ -770,7 +905,7 @@ func TestKernelRandomisedWorkload(t *testing.T) {
 					if !k.Live(p) {
 						t.Fatal("lost a live handle")
 					}
-					if k.PM().BlockOrder(p.PFN) != int(p.Order) {
+					if k.PM().BlockOrder(k.Page(p).PFN) != int(k.Page(p).Order) {
 						t.Fatal("handle order mismatch")
 					}
 				}
@@ -806,7 +941,7 @@ func TestDefragUnmovableUnblocksShrink(t *testing.T) {
 	k := New(cfg)
 	// Scatter unmovable allocations across the region by allocating a
 	// lot and freeing every other one.
-	var pages []*Page
+	var pages []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 		if err != nil || k.Boundary() > mem.BytesToPages(cfg.InitialUnmovableBytes) {
@@ -820,7 +955,7 @@ func TestDefragUnmovableUnblocksShrink(t *testing.T) {
 	for i, p := range pages {
 		if i%2 == 0 {
 			k.Free(p)
-			pages[i] = nil
+			pages[i] = Handle{}
 		}
 	}
 	moved := k.DefragUnmovable()
@@ -860,7 +995,7 @@ func TestResizerExpandsUnderSustainedPressure(t *testing.T) {
 	// pressure builds; the periodic resizer (not just the urgent path)
 	// must expand. Use MaxUnmovableBytes low enough that urgent
 	// expansion stops, then raise pressure.
-	var pages []*Page
+	var pages []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateUnmovable, mem.SrcSlab)
 		if err != nil {
@@ -907,11 +1042,11 @@ func TestCompactionDeferBacksOffExponentially(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		covered[k.PM().PageblockOf(p.PFN)] = true
+		covered[k.PM().PageblockOf(k.Page(p).PFN)] = true
 	}
 	// Free scattered movable singles so memory exists but never 2MB.
 	rng := stats.NewRNG(5)
-	var movable []*Page
+	var movable []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -975,7 +1110,7 @@ func TestUnpinIdempotent(t *testing.T) {
 	k := New(testConfig(ModeLinux, 64*mb))
 	p, _ := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcNetworking)
 	k.Unpin(p) // not pinned: no-op
-	if p.Pinned {
+	if k.Page(p).Pinned {
 		t.Fatal("unpin of unpinned page")
 	}
 	k.Pin(p)
@@ -1066,7 +1201,7 @@ func TestExpandFailsWhenMovableFull(t *testing.T) {
 	// Fill the movable region completely; expansion then cannot
 	// evacuate the takeover range and must fail cleanly (donating any
 	// carved frames back).
-	var pages []*Page
+	var pages []Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
@@ -1083,4 +1218,32 @@ func TestExpandFailsWhenMovableFull(t *testing.T) {
 	for _, p := range pages {
 		k.Free(p)
 	}
+}
+
+// coverage returns the fraction of m's frames backed by blocks of at
+// least the given order.
+func coverage(k *Kernel, m *Mapping, order int) float64 {
+	var total, covered uint64
+	for _, b := range m.Blocks {
+		p := k.Page(b)
+		total += p.Pages()
+		if int(p.Order) >= order {
+			covered += p.Pages()
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(covered) / float64(total)
+}
+
+// blockCount returns how many blocks of exactly the given order back m.
+func blockCount(k *Kernel, m *Mapping, order int) int {
+	n := 0
+	for _, b := range m.Blocks {
+		if int(k.Page(b).Order) == order {
+			n++
+		}
+	}
+	return n
 }

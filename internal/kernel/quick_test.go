@@ -18,7 +18,7 @@ func TestQuickAllocFreeConservation(t *testing.T) {
 		k := New(cfg)
 		total := k.FreePages()
 		rng := stats.NewRNG(seed)
-		var live []*Page
+		var live []Handle
 		ops := int(nOps%600) + 50
 		for i := 0; i < ops; i++ {
 			if rng.Bool(0.6) || len(live) == 0 {
@@ -39,7 +39,7 @@ func TestQuickAllocFreeConservation(t *testing.T) {
 		}
 		var held uint64
 		for _, p := range live {
-			held += p.Pages()
+			held += k.Page(p).Pages()
 			k.Free(p)
 		}
 		// Conservation: everything allocated was either freed or held.
@@ -60,7 +60,7 @@ func TestQuickHandleStability(t *testing.T) {
 		cfg.Seed = seed
 		k := New(cfg)
 		rng := stats.NewRNG(seed ^ 0xabc)
-		var live []*Page
+		var live []Handle
 		for i := 0; i < 400; i++ {
 			switch {
 			case rng.Bool(0.5) || len(live) == 0:
@@ -69,13 +69,13 @@ func TestQuickHandleStability(t *testing.T) {
 				}
 			case rng.Bool(0.3):
 				p := live[rng.Intn(len(live))]
-				if !p.Pinned {
+				if !k.Page(p).Pinned {
 					k.Pin(p)
 				}
 			default:
 				j := rng.Intn(len(live))
 				p := live[j]
-				if p.Pinned {
+				if k.Page(p).Pinned {
 					k.Unpin(p)
 				}
 				k.Free(p)
@@ -87,10 +87,10 @@ func TestQuickHandleStability(t *testing.T) {
 			}
 		}
 		for _, p := range live {
-			if !k.Live(p) || k.PM().BlockOrder(p.PFN) != int(p.Order) {
+			if !k.Live(p) || k.PM().BlockOrder(k.Page(p).PFN) != int(k.Page(p).Order) {
 				return false
 			}
-			if p.Pinned && p.PFN >= k.Boundary() {
+			if k.Page(p).Pinned && k.Page(p).PFN >= k.Boundary() {
 				return false
 			}
 		}
@@ -111,15 +111,15 @@ func TestAllocUser1GTHP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := m.BlockCount(mem.Order1G); n != 2 {
+	if n := blockCount(k, m, mem.Order1G); n != 2 {
 		t.Fatalf("1G blocks = %d, want 2", n)
 	}
-	if m.Coverage(mem.Order1G) < 0.9 {
-		t.Fatalf("1G coverage = %v", m.Coverage(mem.Order1G))
+	if coverage(k, m, mem.Order1G) < 0.9 {
+		t.Fatalf("1G coverage = %v", coverage(k, m, mem.Order1G))
 	}
 	// The 10MB tail rides on 2MB pages.
-	if m.BlockCount(mem.Order2M) != 5 {
-		t.Fatalf("2M blocks = %d, want 5", m.BlockCount(mem.Order2M))
+	if blockCount(k, m, mem.Order2M) != 5 {
+		t.Fatalf("2M blocks = %d, want 5", blockCount(k, m, mem.Order2M))
 	}
 	k.FreeMapping(m)
 }
@@ -132,8 +132,8 @@ func TestAllocUser1GFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.BlockCount(mem.Order1G) != 0 || m.Coverage(mem.Order2M) != 1 {
-		t.Fatalf("fallback wrong: 1G=%d cov2M=%v", m.BlockCount(mem.Order1G), m.Coverage(mem.Order2M))
+	if blockCount(k, m, mem.Order1G) != 0 || coverage(k, m, mem.Order2M) != 1 {
+		t.Fatalf("fallback wrong: 1G=%d cov2M=%v", blockCount(k, m, mem.Order1G), coverage(k, m, mem.Order2M))
 	}
 	k.FreeMapping(m)
 }

@@ -44,13 +44,11 @@ func (k *Kernel) reclaim(b *mem.Buddy, target uint64) uint64 {
 		// A live FIFO entry always resolves: the slot is stamped with the
 		// sentinel whenever its page is freed, detached, or reclaimed.
 		p := k.live.get(pfn)
-		k.live.del(pfn)
-		mustFree(b, pfn)
 		k.reclaimable[i] = noCacheEntry
-		p.cacheIdx = -1
 		freed += p.Pages()
 		k.ReclaimedPages += p.Pages()
 		k.reclaimablePages -= p.Pages()
+		k.drop(b, p)
 	}
 	// Advance the head past the leading run of consumed entries.
 	for k.reclaimHead < len(k.reclaimable) && k.reclaimable[k.reclaimHead] == noCacheEntry {

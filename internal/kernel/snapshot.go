@@ -36,7 +36,7 @@ import (
 //     the contiguity index (rebuilt cold and rescanned, compared against
 //     the serialized Scan witness), and the reclaimable FIFO's linkage
 //     (each handle's cacheIdx cross-checked against the FIFO slots).
-//   - Rebuilt fresh, not state: page-handle identities (the arena),
+//   - Rebuilt fresh, not state: page-handle values (the slot table),
 //     memoized errors, scratch buffers, telemetry attachments (ring,
 //     registry, sampler, sink), and the migration cost model. Callers
 //     re-attach telemetry after restore; handle holders rehydrate
@@ -288,19 +288,19 @@ func Restore(cfg Config, st *State) (*Kernel, error) {
 		}
 	}
 
-	// Live handles: fresh identities, serialized contents. The frame
-	// table's agreement (order, pin flags, allocated-head status) is
-	// proven by CheckInvariants below.
+	// Live handles: fresh slots, serialized contents. The frame table's
+	// agreement (order, pin flags, allocated-head status) is proven by
+	// CheckInvariants below.
 	for _, ps := range st.Live {
-		p := k.newPage()
-		*p = Page{PFN: ps.PFN, cacheIdx: ps.CacheIdx, Order: ps.Order,
-			MT: ps.MT, Src: ps.Src, Pinned: ps.Pinned}
 		if ps.PFN >= pm.NPages {
 			return nil, fmt.Errorf("kernel: restore: live pfn %d out of range", ps.PFN)
 		}
 		if k.live.get(ps.PFN) != nil {
 			return nil, fmt.Errorf("kernel: restore: duplicate live pfn %d", ps.PFN)
 		}
+		p := k.live.newSlot()
+		p.PFN, p.cacheIdx, p.Order = ps.PFN, ps.CacheIdx, ps.Order
+		p.MT, p.Src, p.Pinned = ps.MT, ps.Src, ps.Pinned
 		k.live.set(ps.PFN, p)
 	}
 
@@ -368,11 +368,19 @@ func Restore(cfg Config, st *State) (*Kernel, error) {
 	return k, nil
 }
 
-// PageAt returns the live handle whose block starts at pfn (nil when
-// none). Restore callers use it to rehydrate handles they held before
-// the checkpoint; handle identity does not survive a restore, contents
-// do.
-func (k *Kernel) PageAt(pfn uint64) *Page { return k.live.get(pfn) }
+// PageAt returns the handle of the live allocation whose block starts
+// at pfn, and false when none does. Restore callers use it to rehydrate
+// handles they held before the checkpoint; handle values do not survive
+// a restore, contents do.
+func (k *Kernel) PageAt(pfn uint64) (Handle, bool) {
+	if pfn >= k.pm.NPages {
+		return Handle{}, false
+	}
+	if p := k.live.get(pfn); p != nil {
+		return p.Handle(), true
+	}
+	return Handle{}, false
+}
 
 // Hash computes the canonical state digest: the FNV-1a of the state's
 // gob value bytes (envelope.GobDigest), the same bytes a checkpoint

@@ -32,8 +32,8 @@ func (d *snapDriver) step(t *testing.T) {
 	// been reclaimed behind our back — skip dead handles).
 	for i := 0; i < len(d.pfns)/4 && len(d.pfns) > 0; i++ {
 		j := d.rng.Intn(len(d.pfns))
-		if p := d.k.PageAt(d.pfns[j]); p != nil {
-			if p.Pinned {
+		if p, ok := d.k.PageAt(d.pfns[j]); ok {
+			if d.k.Page(p).Pinned {
 				d.k.Unpin(p)
 			}
 			if err := d.k.Free(p); err != nil {
@@ -47,7 +47,7 @@ func (d *snapDriver) step(t *testing.T) {
 	orders := []int{0, 0, 0, 1, 2, mem.Order2M}
 	for i := 0; i < 48; i++ {
 		order := orders[d.rng.Intn(len(orders))]
-		var p *Page
+		var p Handle
 		var err error
 		switch d.rng.Intn(4) {
 		case 0:
@@ -66,7 +66,7 @@ func (d *snapDriver) step(t *testing.T) {
 			p, err = d.k.Alloc(order, mem.MigrateMovable, mem.SrcUser)
 		}
 		if err == nil {
-			d.pfns = append(d.pfns, p.PFN)
+			d.pfns = append(d.pfns, d.k.Page(p).PFN)
 		}
 	}
 	// Periodic contiguity demand keeps compaction's cross-tick state

@@ -79,21 +79,10 @@ func NewBuddy(pm *PhysMem, start, end uint64, policy AllocPolicy, fallback bool,
 		panic(fmt.Sprintf("mem: invalid buddy range [%d, %d)", start, end))
 	}
 	b := &Buddy{pm: pm, start: start, end: end, fallback: fallback, policy: policy}
-	for o := 0; o <= MaxOrder; o++ {
-		for mt := 0; mt < NumMigrateTypes; mt++ {
-			switch policy {
-			case PolicyLIFO:
-				b.lists[o][mt] = &lifoList{}
-			case PolicyLowestPFN:
-				b.lists[o][mt] = &heapList{}
-			case PolicyHighestPFN:
-				b.lists[o][mt] = &heapList{desc: true}
-			default:
-				// Boot-time configuration validation: AllocPolicy is a
-				// closed enum chosen by Kernel.New, never workload input.
-				panic("mem: unknown alloc policy")
-			}
-		}
+	if !b.initLists() {
+		// Boot-time configuration validation: AllocPolicy is a closed
+		// enum chosen by Kernel.New, never workload input.
+		panic("mem: unknown alloc policy")
 	}
 	for pb := start / PageblockPages; pb < (end+PageblockPages-1)/PageblockPages; pb++ {
 		pm.pbMT[pb] = uint8(initialMT)
@@ -104,6 +93,19 @@ func NewBuddy(pm *PhysMem, start, end uint64, policy AllocPolicy, fallback bool,
 		panic(err)
 	}
 	return b
+}
+
+// initLists builds the empty free lists for b.policy, reporting false
+// for an unknown policy.
+func (b *Buddy) initLists() bool {
+	for o := 0; o <= MaxOrder; o++ {
+		for mt := 0; mt < NumMigrateTypes; mt++ {
+			if b.lists[o][mt] = newFreeList(b.policy, o); b.lists[o][mt] == nil {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Start returns the inclusive lower PFN bound of the region.
@@ -477,7 +479,7 @@ func (b *Buddy) CheckInvariants() error {
 			}
 		}
 		for mt := 0; mt < NumMigrateTypes; mt++ {
-			for _, pfn := range b.lists[o][mt].peekAll() {
+			for _, pfn := range b.lists[o][mt].appendTo(nil) {
 				if !b.Owns(pfn) {
 					return fmt.Errorf("free head %d outside region", pfn)
 				}

@@ -29,4 +29,10 @@ var (
 	// ErrBadBounds reports an AdjustBounds to an empty or out-of-table
 	// range.
 	ErrBadBounds = errors.New("mem: invalid region bounds")
+
+	// ErrBadFreeList reports a serialized free list that RestoreBuddy
+	// refuses: an ordered list that is not strictly ascending, or an
+	// entry the frame table does not record as a free head of that
+	// list's order and migratetype.
+	ErrBadFreeList = errors.New("mem: corrupt serialized free list")
 )

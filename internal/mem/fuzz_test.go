@@ -8,15 +8,28 @@ import (
 // alloc/free op stream and checks the structural invariants after
 // every few ops. The allocator must never panic and never corrupt its
 // free lists, whatever interleaving (including frees of arbitrary —
-// possibly interior or already-free — pfns) the fuzzer invents.
+// possibly interior or already-free — pfns) the fuzzer invents. The
+// first byte picks the allocation policy and whether fallback stealing
+// is on; under an ordered policy every allocation served from the
+// class's own lists must return the block a reference min/max over
+// those lists predicts.
 func FuzzBuddyAllocFree(f *testing.F) {
 	f.Add([]byte{0x00, 0x81, 0x02, 0x93, 0x44, 0xff})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x00, 0x01, 0x02, 0x03})
 	f.Add([]byte{})
+	f.Add([]byte{0x01, 0x00, 0x00, 0x01, 0x80, 0x02, 0x81, 0x00, 0x13, 0x82})
+	f.Add([]byte{0x02, 0x00, 0x10, 0x00, 0x81, 0x01, 0x80, 0x00, 0x23, 0xc5})
+	f.Add([]byte{0x06, 0x00, 0x00, 0x00, 0x80, 0x82, 0x00, 0x00, 0x81, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		policy, fallback := PolicyLIFO, true
+		if len(data) > 0 {
+			policy = AllocPolicy(data[0] % 3)
+			fallback = data[0]&4 == 0
+			data = data[1:]
+		}
 		pm := NewPhysMem(16 << 20) // 4096 pages
-		b := NewBuddy(pm, 0, pm.NPages, PolicyLIFO, true, MigrateMovable)
+		b := NewBuddy(pm, 0, pm.NPages, policy, fallback, MigrateMovable)
 
 		var live []uint64
 		for i, op := range data {
@@ -24,7 +37,13 @@ func FuzzBuddyAllocFree(f *testing.F) {
 				// Alloc: low bits pick order and migratetype.
 				order := int(op) % 10
 				mt := MigrateType(op>>4) % NumMigrateTypes
-				if pfn, ok := b.Alloc(order, mt, SrcUser); ok {
+				want, check := orderedPrediction(b, order, mt)
+				pfn, ok := b.Alloc(order, mt, SrcUser)
+				if check && (!ok || pfn != want) {
+					t.Fatalf("op %d: %v alloc order %d mt %d = (%d, %v), reference predicts %d",
+						i, policy, order, mt, pfn, ok, want)
+				}
+				if ok {
 					live = append(live, pfn)
 				}
 			} else if op&0x40 == 0 && len(live) > 0 {
@@ -76,4 +95,34 @@ func FuzzBuddyAllocFree(f *testing.F) {
 			t.Fatalf("after drain: %d of %d pages free", b.FreePages(), b.Pages())
 		}
 	})
+}
+
+// orderedPrediction returns the block an ordered-policy Alloc of
+// (order, mt) must return when mt's own lists can serve it: the lowest
+// (PolicyLowestPFN) or highest (PolicyHighestPFN) head of the smallest
+// non-empty qualifying order, split down to order from the bottom or
+// the top respectively. It is computed by a linear scan of the list
+// contents, independently of the list's pop. check is false under
+// PolicyLIFO and when the request would need fallback stealing.
+func orderedPrediction(b *Buddy, order int, mt MigrateType) (want uint64, check bool) {
+	if b.policy == PolicyLIFO {
+		return 0, false
+	}
+	for o := order; o <= MaxOrder; o++ {
+		heads := b.lists[o][mt].appendTo(nil)
+		if len(heads) == 0 {
+			continue
+		}
+		best := heads[0]
+		for _, h := range heads[1:] {
+			if (b.policy == PolicyLowestPFN) == (h < best) {
+				best = h
+			}
+		}
+		if b.policy == PolicyHighestPFN {
+			best += OrderPages(o) - OrderPages(order)
+		}
+		return best, true
+	}
+	return 0, false
 }

@@ -8,16 +8,18 @@ import "fmt"
 //
 //   - The packed per-frame meta words and per-pageblock migratetypes are
 //     serialized raw: they are the ground truth every scanner reads.
-//   - Free-list contents are serialized in exact backing-slice order.
-//     LIFO lists pop from the slice end, so the stack order IS the
-//     future allocation order; heap lists always pop the extreme PFN,
-//     but removal paths (coalescing, carving) sift from slice positions,
-//     so the array layout still shapes subsequent rebalancing. Restoring
-//     the slices verbatim reproduces both bit-for-bit.
-//   - flIdx (each free head's position inside its list) is re-derived
-//     while the lists are rebuilt, and the serialized copy is kept as an
-//     equivalence witness: VerifyFlIdxWitness proves the rebuilt index
-//     matches the original over every free head.
+//   - Free-list contents are serialized per list. LIFO lists are
+//     serialized in exact stack order, because the stack order IS the
+//     future allocation order. Ordered lists always pop the extreme PFN
+//     and have no layout beyond their membership, so they are
+//     serialized in ascending PFN order; restore rejects one that is
+//     not strictly ascending (unsorted or duplicated) with
+//     ErrBadFreeList.
+//   - flIdx (each free head's position inside its LIFO list; zero for
+//     heads on ordered lists) is re-derived while the lists are
+//     rebuilt, and the serialized copy is kept as an equivalence
+//     witness: VerifyFlIdxWitness proves the rebuilt index matches the
+//     original over every free head.
 //   - The per-(order,migratetype) block histograms, order masks, and
 //     free-page totals are re-derived from the restored lists; the
 //     serialized totals are cross-checked against them.
@@ -150,9 +152,9 @@ type BuddyState struct {
 	StealsConverting uint64
 	StealsPolluting  uint64
 
-	// Lists[o][mt] is the free list's backing slice in exact order (see
-	// the package comment above for why order matters for both list
-	// kinds). Nil and empty are equivalent.
+	// Lists[o][mt] holds the free list's heads: stack order for LIFO
+	// lists, ascending PFN for ordered ones (see the comment at the top
+	// of this file). Nil and empty are equivalent.
 	Lists [MaxOrder + 1][NumMigrateTypes][]uint64
 }
 
@@ -171,72 +173,52 @@ func (b *Buddy) ExportState() BuddyState {
 	}
 	for o := 0; o <= MaxOrder; o++ {
 		for mt := 0; mt < NumMigrateTypes; mt++ {
-			if all := b.lists[o][mt].peekAll(); len(all) > 0 {
-				st.Lists[o][mt] = append([]uint64(nil), all...)
-			}
+			st.Lists[o][mt] = b.lists[o][mt].appendTo(nil)
 		}
 	}
 	return st
 }
 
 // RestoreBuddy rebuilds a buddy region over an already-restored frame
-// table. The free lists are restored in exact serialized order; flIdx,
-// block histograms, order masks, and free totals are re-derived, with
-// the serialized totals cross-checked. Every listed head is validated
-// against the frame table before being accepted.
+// table. The free lists are restored in serialized order; flIdx, block
+// histograms, order masks, and free totals are re-derived, with the
+// serialized totals cross-checked. Every listed head is validated
+// against the frame table before being accepted, and an ordered list
+// must be strictly ascending; a list failing either check returns
+// ErrBadFreeList.
 func RestoreBuddy(pm *PhysMem, st BuddyState) (*Buddy, error) {
 	if st.End > pm.NPages || st.Start >= st.End {
 		return nil, fmt.Errorf("%w: restore buddy [%d, %d)", ErrBadBounds, st.Start, st.End)
 	}
-	policy := AllocPolicy(st.Policy)
 	b := &Buddy{
 		pm: pm, start: st.Start, end: st.End,
-		policy: policy, fallback: st.Fallback,
+		policy: AllocPolicy(st.Policy), fallback: st.Fallback,
 		StealsConverting: st.StealsConverting,
 		StealsPolluting:  st.StealsPolluting,
 	}
-	for o := 0; o <= MaxOrder; o++ {
-		for mt := 0; mt < NumMigrateTypes; mt++ {
-			switch policy {
-			case PolicyLIFO:
-				b.lists[o][mt] = &lifoList{}
-			case PolicyLowestPFN:
-				b.lists[o][mt] = &heapList{}
-			case PolicyHighestPFN:
-				b.lists[o][mt] = &heapList{desc: true}
-			default:
-				return nil, fmt.Errorf("mem: restore: unknown alloc policy %d", st.Policy)
-			}
-		}
+	if !b.initLists() {
+		return nil, fmt.Errorf("mem: restore: unknown alloc policy %d", st.Policy)
 	}
+	ordered := b.policy != PolicyLIFO
 	for o := 0; o <= MaxOrder; o++ {
 		for mt := 0; mt < NumMigrateTypes; mt++ {
-			pfns := st.Lists[o][mt]
-			if len(pfns) == 0 {
-				continue
-			}
-			backing := append([]uint64(nil), pfns...)
-			for i, pfn := range backing {
+			for i, pfn := range st.Lists[o][mt] {
 				if pfn < st.Start || pfn+OrderPages(o) > st.End {
 					return nil, fmt.Errorf("%w: restore: listed head %d (order %d)", ErrOutOfRange, pfn, o)
 				}
+				if ordered && i > 0 && pfn <= st.Lists[o][mt][i-1] {
+					return nil, fmt.Errorf("%w: order %d mt %d: head %d follows %d, want strictly ascending",
+						ErrBadFreeList, o, mt, pfn, st.Lists[o][mt][i-1])
+				}
 				m := pm.meta[pfn]
 				if m&(flagFree|flagHead) != flagFree|flagHead || metaOrder(m) != o || metaMT(m) != MigrateType(mt) {
-					return nil, fmt.Errorf("mem: restore: frame table disagrees with list entry pfn=%d order=%d mt=%d", pfn, o, mt)
+					return nil, fmt.Errorf("%w: frame table disagrees with list entry pfn=%d order=%d mt=%d",
+						ErrBadFreeList, pfn, o, mt)
 				}
-				pm.flIdx[pfn] = int32(i)
+				b.lists[o][mt].push(pm, pfn)
 				b.noteBlockAdd(o, MigrateType(mt))
 				b.freeByList[mt] += OrderPages(o)
 				b.freeTotal += OrderPages(o)
-			}
-			switch l := b.lists[o][mt].(type) {
-			case *lifoList:
-				l.pfns = backing
-			case *heapList:
-				if err := verifyHeap(l, backing); err != nil {
-					return nil, err
-				}
-				l.pfns = backing
 			}
 		}
 	}
@@ -247,18 +229,4 @@ func RestoreBuddy(pm *PhysMem, st BuddyState) (*Buddy, error) {
 		return nil, fmt.Errorf("mem: restore: re-derived freeByList %v, serialized %v", b.freeByList, st.FreeByList)
 	}
 	return b, nil
-}
-
-// verifyHeap proves a serialized heap slice still satisfies the heap
-// property before it is adopted verbatim (a corrupted snapshot would
-// otherwise silently change pop order).
-func verifyHeap(l *heapList, pfns []uint64) error {
-	for i := 1; i < len(pfns); i++ {
-		parent := (i - 1) / 2
-		if l.before(pfns[i], pfns[parent]) {
-			return fmt.Errorf("mem: restore: heap property violated at index %d (pfn %d vs parent %d)",
-				i, pfns[i], pfns[parent])
-		}
-	}
-	return nil
 }

@@ -254,6 +254,47 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnbootableMachines: admission applies the kernel's
+// own boot rule to every design × memory cell, so a machine the fleet
+// could not lay out is a 400, not a shard that panics and retries.
+// Contiguitas sizes its unmovable region at MemBytes/16, which rounds
+// down to no 2 MB pageblock below 32 MiB.
+func TestSubmitRejectsUnbootableMachines(t *testing.T) {
+	cases := []struct {
+		design string
+		mib    uint64
+		ok     bool
+	}{
+		{"linux", 16, true},
+		{"linux", 17, false}, // not a whole number of 2 MB pageblocks
+		{"contiguitas", 16, false},
+		{"contiguitas", 24, false},
+		{"contiguitas", 31, false},
+		{"contiguitas", 32, true},
+		{"contiguitas", 64, true},
+	}
+	for _, tc := range cases {
+		sp := tinySpec()
+		sp.Designs = []string{tc.design}
+		sp.MemsMiB = []uint64{tc.mib}
+		err := sp.normalized().validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s %d MiB: rejected: %v", tc.design, tc.mib, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s %d MiB: validate = %v, want ErrBadSpec", tc.design, tc.mib, err)
+		}
+	}
+	// A mixed grid is rejected whole, through Submit.
+	s := fastSched(NewMemory())
+	sp := tinySpec()
+	sp.Designs = []string{"linux", "contiguitas"}
+	sp.MemsMiB = []uint64{16, 64}
+	if _, _, err := s.Submit(sp, "k"); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("contiguitas at 16 MiB in a grid = %v, want ErrBadSpec", err)
+	}
+}
+
 // TestQueueAdmissionBound: with no workers draining the queue, submits
 // beyond QueueDepth get ErrQueueFull; distinct keys, distinct records.
 func TestQueueAdmissionBound(t *testing.T) {

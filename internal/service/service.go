@@ -183,6 +183,20 @@ func (sp Spec) validate() error {
 			return bad("mem %d MiB out of range [16, 1048576]", m)
 		}
 	}
+	// Every cell's machine must boot: the fleet sizes each server with
+	// core's machine defaults, and a size the kernel cannot lay out (an
+	// odd MiB count, or a Contiguitas unmovable region that rounds down
+	// to no pageblock) would panic on every shard attempt.
+	for _, d := range sp.Designs {
+		design, _ := ParseDesign(d)
+		for _, m := range sp.MemsMiB {
+			mc := core.DefaultMachineConfig(design)
+			mc.MemBytes = m << 20
+			if err := mc.KernelConfig().Validate(); err != nil {
+				return bad("design %s at %d MiB: %v", d, m, err)
+			}
+		}
+	}
 	for _, j := range sp.Jitters {
 		if j < 0 || j >= 1 || math.IsNaN(j) {
 			return bad("jitter %g out of range [0, 1)", j)

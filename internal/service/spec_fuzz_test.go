@@ -19,6 +19,7 @@ func FuzzSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"spec": {}} {}`))
 	f.Add([]byte(`{"spec": {"jitters": [-0, 1e-300], "deadline_sec": 18446744073709551615}}`))
 	f.Add([]byte(`{"spec": {"servers": -1}}`))
+	f.Add([]byte(`{"spec": {"designs": ["contiguitas"], "mems_mib": [16, 31]}}`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -18,15 +18,17 @@ import (
 )
 
 // PageSource abstracts the page allocator a cache draws from; the
-// simulated kernel satisfies it directly.
+// simulated kernel satisfies it directly. Page reads a live handle's
+// current record (its PFN moves when the kernel migrates the page).
 type PageSource interface {
-	Alloc(order int, mt mem.MigrateType, src mem.Source) (*kernel.Page, error)
-	Free(p *kernel.Page) error
+	Alloc(order int, mt mem.MigrateType, src mem.Source) (kernel.Handle, error)
+	Free(h kernel.Handle) error
+	Page(h kernel.Handle) kernel.Page
 }
 
 // slabPage is one backing page with its occupancy bitmap.
 type slabPage struct {
-	page *kernel.Page
+	page kernel.Handle
 	// used marks live object slots; one bit per slot.
 	used []uint64
 	live int

@@ -62,7 +62,7 @@ func (c *Cache) ExportState(liveObjs []Obj) CacheState {
 	seen := make(map[*slabPage]bool, len(c.partial))
 	for _, sp := range c.partial {
 		seen[sp] = true
-		st.Pages = append(st.Pages, exportPage(sp, true))
+		st.Pages = append(st.Pages, c.exportPage(sp, true))
 	}
 	var full []*slabPage
 	for _, o := range liveObjs {
@@ -78,16 +78,19 @@ func (c *Cache) ExportState(liveObjs []Obj) CacheState {
 		seen[o.sp] = true
 		full = append(full, o.sp)
 	}
-	sort.Slice(full, func(i, j int) bool { return full[i].page.PFN < full[j].page.PFN })
+	sort.Slice(full, func(i, j int) bool { return c.pfnOf(full[i]) < c.pfnOf(full[j]) })
 	for _, sp := range full {
-		st.Pages = append(st.Pages, exportPage(sp, false))
+		st.Pages = append(st.Pages, c.exportPage(sp, false))
 	}
 	return st
 }
 
-func exportPage(sp *slabPage, partial bool) SlabPageState {
+// pfnOf returns the current head PFN of a slab's backing page.
+func (c *Cache) pfnOf(sp *slabPage) uint64 { return c.src.Page(sp.page).PFN }
+
+func (c *Cache) exportPage(sp *slabPage, partial bool) SlabPageState {
 	return SlabPageState{
-		PFN:     sp.page.PFN,
+		PFN:     c.pfnOf(sp),
 		Used:    append([]uint64(nil), sp.used...),
 		Live:    sp.live,
 		Partial: partial,
@@ -112,8 +115,9 @@ func ownsPage(c *Cache, sp *slabPage) bool {
 // ImportState rebuilds the cache's occupancy from serialized state. The
 // cache must be freshly constructed (same name/size/source class as the
 // exported one) and empty. resolve maps a serialized head PFN to the
-// restored kernel page handle backing it.
-func (c *Cache) ImportState(st CacheState, resolve func(pfn uint64) *kernel.Page) error {
+// restored kernel page handle backing it, reporting false when no live
+// allocation starts there.
+func (c *Cache) ImportState(st CacheState, resolve func(pfn uint64) (kernel.Handle, bool)) error {
 	if c.Objects != 0 || len(c.partial) != 0 || c.PagesHeld != 0 {
 		return fmt.Errorf("slab: ImportState into non-empty cache %s", c.name)
 	}
@@ -122,8 +126,8 @@ func (c *Cache) ImportState(st CacheState, resolve func(pfn uint64) *kernel.Page
 	}
 	c.restoreIdx = make(map[uint64]*slabPage, len(st.Pages))
 	for _, ps := range st.Pages {
-		page := resolve(ps.PFN)
-		if page == nil {
+		page, ok := resolve(ps.PFN)
+		if !ok {
 			return fmt.Errorf("slab: restore %s: no live page at pfn %d", c.name, ps.PFN)
 		}
 		if len(ps.Used) != (c.perPage+63)/64 {
@@ -178,8 +182,8 @@ func (c *Cache) ObjAt(pfn uint64, slot int) (Obj, error) {
 
 // PageOf exposes an object's backing page head PFN and slot, the
 // serialized coordinates ObjAt reverses.
-func (o Obj) PageOf() (pfn uint64, slot int) {
-	return o.sp.page.PFN, o.slot
+func (c *Cache) PageOf(o Obj) (pfn uint64, slot int) {
+	return c.pfnOf(o.sp), o.slot
 }
 
 // EndRestore drops the transient PFN index built by ImportState.

@@ -57,9 +57,13 @@ import (
 //	5 — state identity is the digest of the gob value bytes
 //	    (envelope.GobDigest) instead of hand-written field walkers;
 //	    every StateHash and ChainHash changed, the body layout did not.
+//	6 — address-ordered free lists (PolicyLowestPFN/HighestPFN) are
+//	    serialized in ascending PFN order instead of a binary heap's
+//	    array layout, and their heads carry flIdx 0; Contiguitas state
+//	    hashes changed, Linux ones (LIFO lists only) did not.
 const (
 	Magic   = "CTGSNAP"
-	Version = 5
+	Version = 6
 )
 
 // Typed decode failures. Envelope failures surface as ErrBadMagic,

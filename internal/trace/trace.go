@@ -161,14 +161,14 @@ func (r *Reader) Read() (Event, error) {
 type Recorder struct {
 	W      *Writer
 	nextID uint64
-	ids    map[*kernel.Page]uint64
+	ids    map[kernel.Handle]uint64
 	err    error
 }
 
 // Attach creates a Recorder writing to w and registers it as k's event
 // sink. Detach with k.SetEventSink(nil).
 func Attach(k *kernel.Kernel, w *Writer) *Recorder {
-	r := &Recorder{W: w, ids: make(map[*kernel.Page]uint64)}
+	r := &Recorder{W: w, ids: make(map[kernel.Handle]uint64)}
 	k.SetEventSink(r)
 	return r
 }
@@ -185,7 +185,7 @@ func (r *Recorder) emit(e Event) {
 // OnAlloc implements kernel.EventSink.
 func (r *Recorder) OnAlloc(p *kernel.Page, pageCache bool) {
 	r.nextID++
-	r.ids[p] = r.nextID
+	r.ids[p.Handle()] = r.nextID
 	kind := KindAlloc
 	if pageCache {
 		kind = KindAllocCache
@@ -195,16 +195,16 @@ func (r *Recorder) OnAlloc(p *kernel.Page, pageCache bool) {
 
 // OnFree implements kernel.EventSink.
 func (r *Recorder) OnFree(p *kernel.Page) {
-	id := r.ids[p]
-	delete(r.ids, p)
+	id := r.ids[p.Handle()]
+	delete(r.ids, p.Handle())
 	r.emit(Event{Kind: KindFree, ID: id})
 }
 
 // OnPin implements kernel.EventSink.
-func (r *Recorder) OnPin(p *kernel.Page) { r.emit(Event{Kind: KindPin, ID: r.ids[p]}) }
+func (r *Recorder) OnPin(p *kernel.Page) { r.emit(Event{Kind: KindPin, ID: r.ids[p.Handle()]}) }
 
 // OnUnpin implements kernel.EventSink.
-func (r *Recorder) OnUnpin(p *kernel.Page) { r.emit(Event{Kind: KindUnpin, ID: r.ids[p]}) }
+func (r *Recorder) OnUnpin(p *kernel.Page) { r.emit(Event{Kind: KindUnpin, ID: r.ids[p.Handle()]}) }
 
 // OnTick implements kernel.EventSink.
 func (r *Recorder) OnTick() { r.emit(Event{Kind: KindTick}) }
@@ -221,7 +221,7 @@ type ReplayStats struct {
 // referencing failed allocations are skipped.
 func Replay(k *kernel.Kernel, r *Reader) (ReplayStats, error) {
 	var st ReplayStats
-	live := make(map[uint64]*kernel.Page)
+	live := make(map[uint64]kernel.Handle)
 	for {
 		e, err := r.Read()
 		if errors.Is(err, io.EOF) {
@@ -247,9 +247,9 @@ func Replay(k *kernel.Kernel, r *Reader) (ReplayStats, error) {
 			}
 			live[e.ID] = p
 		case KindFree:
-			if p := live[e.ID]; p != nil {
+			if p, ok := live[e.ID]; ok {
 				if k.Live(p) {
-					if p.Pinned {
+					if k.Page(p).Pinned {
 						k.Unpin(p)
 					}
 					k.Free(p)
@@ -257,13 +257,13 @@ func Replay(k *kernel.Kernel, r *Reader) (ReplayStats, error) {
 				delete(live, e.ID)
 			}
 		case KindPin:
-			if p := live[e.ID]; p != nil && k.Live(p) {
+			if p, ok := live[e.ID]; ok && k.Live(p) {
 				if err := k.Pin(p); err != nil {
 					st.AllocFailed++
 				}
 			}
 		case KindUnpin:
-			if p := live[e.ID]; p != nil && k.Live(p) {
+			if p, ok := live[e.ID]; ok && k.Live(p) {
 				k.Unpin(p)
 			}
 		case KindTick:

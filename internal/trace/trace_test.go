@@ -96,7 +96,7 @@ func TestRecordReplayEquivalence(t *testing.T) {
 	k1 := testKernel(kernel.ModeContiguitas)
 	rec := Attach(k1, w)
 	rng := stats.NewRNG(5)
-	var live []*kernel.Page
+	var live []kernel.Handle
 	for step := 0; step < 3000; step++ {
 		switch {
 		case rng.Bool(0.5) || len(live) == 0:
@@ -119,7 +119,7 @@ func TestRecordReplayEquivalence(t *testing.T) {
 		default:
 			i := rng.Intn(len(live))
 			p := live[i]
-			if p.Pinned {
+			if k1.Page(p).Pinned {
 				k1.Unpin(p)
 			}
 			k1.Free(p)
@@ -237,5 +237,89 @@ func TestQuickEventRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordReplayIdenticalAcrossSlotReuse: the kernel recycles a freed
+// or reclaimed allocation's slot for a later allocation, and the
+// recorder keys live allocations on their handles, whose generation
+// differs across reuse. Recording a churn-heavy run (frees, pins, page
+// cache under background reclaim, frees of reclaimed handles),
+// replaying it into an identical machine and recording the replay must
+// reproduce the original event stream byte for byte. A trace does not
+// record failed operations, whose slow paths have side effects, so the
+// op loop keeps headroom and the test checks that nothing failed.
+func TestRecordReplayIdenticalAcrossSlotReuse(t *testing.T) {
+	var first bytes.Buffer
+	w1, _ := NewWriter(&first)
+	k1 := testKernel(kernel.ModeContiguitas)
+	rec1 := Attach(k1, w1)
+	rng := stats.NewRNG(11)
+	headroom := k1.PM().NPages / 4
+	var live []kernel.Handle
+	for step := 0; step < 60000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 25 || len(live) == 0:
+			mt, src := mem.MigrateMovable, mem.SrcUser
+			if rng.Bool(0.2) {
+				mt, src = mem.MigrateUnmovable, mem.SrcSlab
+			}
+			if k1.FreePages()-k1.ReclaimablePages() < headroom {
+				continue
+			}
+			p, err := k1.Alloc(0, mt, src)
+			if err != nil {
+				t.Fatalf("step %d: alloc failed: %v", step, err)
+			}
+			live = append(live, p)
+			if mt == mem.MigrateMovable && rng.Bool(0.1) {
+				if err := k1.Pin(p); err != nil {
+					t.Fatalf("step %d: pin failed: %v", step, err)
+				}
+			}
+		case r < 85:
+			// Page cache fills the free memory until kswapd recycles
+			// it; its handles go stale behind the holder's back.
+			p, err := k1.AllocPageCache(0, mem.SrcFilesystem)
+			if err != nil {
+				t.Fatalf("step %d: page cache alloc failed: %v", step, err)
+			}
+			live = append(live, p)
+		case r < 87:
+			k1.EndTick()
+		default:
+			i := rng.Intn(len(live))
+			p := live[i]
+			k1.Unpin(p)
+			k1.Free(p) // stale for reclaimed page cache: no event
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+	}
+	if k1.ReclaimedPages == 0 {
+		t.Fatal("the run never reclaimed page cache; the test needs stale handles")
+	}
+	if rec1.Err() != nil {
+		t.Fatal(rec1.Err())
+	}
+	w1.Flush()
+
+	var second bytes.Buffer
+	w2, _ := NewWriter(&second)
+	k2 := testKernel(kernel.ModeContiguitas)
+	rec2 := Attach(k2, w2)
+	r, err := NewReader(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(k2, r); err != nil {
+		t.Fatal(err)
+	}
+	if rec2.Err() != nil {
+		t.Fatal(rec2.Err())
+	}
+	w2.Flush()
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("re-recorded replay differs: %d vs %d bytes", first.Len(), second.Len())
 	}
 }

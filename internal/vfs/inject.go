@@ -78,13 +78,6 @@ func NewInjectFS(inner FS, in *fault.Injector, cfg InjectConfig) *InjectFS {
 // per point) in reports and tests.
 func (f *InjectFS) Injector() *fault.Injector { return f.in }
 
-// Ops returns the total injectable operation crossings so far.
-func (f *InjectFS) Ops() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ops
-}
-
 // should records one crossing of point for path and reports whether
 // the fault fires.
 func (f *InjectFS) should(point, path string) bool {

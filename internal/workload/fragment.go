@@ -31,20 +31,20 @@ func DefaultFragmenter(seed uint64) Fragmenter {
 // Run executes the fragmentation pass. It returns the unmovable residue
 // handles; production kernels would keep such allocations alive
 // indefinitely, so callers normally retain (and never free) them.
-func (f Fragmenter) Run(k *kernel.Kernel) []*kernel.Page {
+func (f Fragmenter) Run(k *kernel.Kernel) []kernel.Handle {
 	rng := stats.NewRNG(f.Seed)
 	pm := k.PM()
 
 	// Phase 1: fill the machine with short-lived movable pages, indexed
 	// by pageblock so holes can be punched precisely.
-	byBlock := make(map[uint64][]*kernel.Page)
-	var all []*kernel.Page
+	byBlock := make(map[uint64][]kernel.Handle)
+	var all []kernel.Handle
 	for {
 		p, err := k.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
 		if err != nil {
 			break
 		}
-		blk := pm.PageblockOf(p.PFN)
+		blk := pm.PageblockOf(k.Page(p).PFN)
 		byBlock[blk] = append(byBlock[blk], p)
 		all = append(all, p)
 	}
@@ -54,8 +54,8 @@ func (f Fragmenter) Run(k *kernel.Kernel) []*kernel.Page {
 	// hands the freshly freed frame to the unmovable request (a
 	// polluting fallback steal on Linux; a confined allocation on
 	// Contiguitas).
-	var residue []*kernel.Page
-	freed := make(map[*kernel.Page]bool)
+	var residue []kernel.Handle
+	freed := make(map[kernel.Handle]bool)
 	for blk := uint64(0); blk < pm.NumPageblocks(); blk++ {
 		pages := byBlock[blk]
 		if len(pages) == 0 || !rng.Bool(f.PoisonFraction) {
@@ -105,7 +105,7 @@ func PartialFragmenter(k *kernel.Kernel, p Profile, warmupTicks uint64, seed uin
 	r.mappings = nil
 }
 
-func shuffle(rng *stats.RNG, ps []*kernel.Page) {
+func shuffle(rng *stats.RNG, ps []kernel.Handle) {
 	for i := len(ps) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		ps[i], ps[j] = ps[j], ps[i]

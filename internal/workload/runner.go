@@ -21,8 +21,8 @@ type Runner struct {
 	rng *stats.RNG
 
 	mappings []*kernel.Mapping
-	unmov    []*kernel.Page
-	small    []*kernel.Page
+	unmov    []kernel.Handle
+	small    []kernel.Handle
 	// unmovHeld and mappingHeld cache the frame counts of the unmovable
 	// pool and the user mappings (both are refilled in loops; recomputing
 	// the sums would be quadratic in pool size).
@@ -122,11 +122,12 @@ func (r *Runner) stepUnmovable() {
 	for i := 0; i < churn && len(r.unmov) > 0; i++ {
 		j := r.rng.Intn(len(r.unmov))
 		p := r.unmov[j]
-		if p.Pinned {
+		pg := r.K.Page(p)
+		if pg.Pinned {
 			r.K.Unpin(p)
 		}
 		r.K.Free(p)
-		r.unmovHeld -= p.Pages()
+		r.unmovHeld -= pg.Pages()
 		r.unmov[j] = r.unmov[len(r.unmov)-1]
 		r.unmov = r.unmov[:len(r.unmov)-1]
 	}
@@ -155,7 +156,7 @@ func (r *Runner) stepUnmovable() {
 				return
 			}
 			r.unmov = append(r.unmov, p)
-			r.unmovHeld += p.Pages()
+			r.unmovHeld += mem.OrderPages(order)
 			continue
 		}
 		p, err := r.K.Alloc(order, mem.MigrateUnmovable, src)
@@ -164,7 +165,7 @@ func (r *Runner) stepUnmovable() {
 			return
 		}
 		r.unmov = append(r.unmov, p)
-		r.unmovHeld += p.Pages()
+		r.unmovHeld += mem.OrderPages(order)
 	}
 }
 
@@ -245,7 +246,7 @@ func (r *Runner) churnSmall() {
 func (r *Runner) fillSmall() {
 	target := r.targetPages(r.P.SmallUserFrac)
 	if r.small == nil && target > 0 {
-		r.small = make([]*kernel.Page, 0, target)
+		r.small = make([]kernel.Handle, 0, target)
 	}
 	for uint64(len(r.small)) < target && !r.suppressed(vicSmall) {
 		p, err := r.K.Alloc(mem.Order4K, mem.MigrateMovable, mem.SrcUser)
@@ -262,11 +263,10 @@ func (r *Runner) stepPageCache() {
 	target := r.targetPages(r.P.PageCacheFrac)
 	have := r.cachePagesEstimate()
 	for have < target {
-		p, err := r.K.AllocPageCache(mem.Order4K, mem.SrcFilesystem)
-		if err != nil {
+		if _, err := r.K.AllocPageCache(mem.Order4K, mem.SrcFilesystem); err != nil {
 			return
 		}
-		have += p.Pages()
+		have += mem.OrderPages(mem.Order4K)
 	}
 }
 
@@ -313,7 +313,7 @@ func (r *Runner) churnMappings() {
 	for r.churnCarry >= 1 && len(r.mappings) > 0 {
 		r.churnCarry--
 		i := r.rng.Intn(len(r.mappings))
-		r.mappingHeld -= pagesOf(r.mappings[i])
+		r.mappingHeld -= r.pagesOf(r.mappings[i])
 		r.K.FreeMapping(r.mappings[i])
 		r.mappings[i] = r.mappings[len(r.mappings)-1]
 		r.mappings = r.mappings[:len(r.mappings)-1]
@@ -359,10 +359,10 @@ func (r *Runner) fillUser() {
 func (r *Runner) mappingPages() uint64 { return r.mappingHeld }
 
 // pagesOf sums the frames backing one mapping.
-func pagesOf(m *kernel.Mapping) uint64 {
+func (r *Runner) pagesOf(m *kernel.Mapping) uint64 {
 	var n uint64
 	for _, b := range m.Blocks {
-		n += b.Pages()
+		n += r.K.Page(b).Pages()
 	}
 	return n
 }
@@ -389,9 +389,10 @@ func (r *Runner) THPCoverage() float64 {
 	var total, covered uint64
 	for _, m := range r.mappings {
 		for _, b := range m.Blocks {
-			total += b.Pages()
-			if b.Order >= mem.Order2M {
-				covered += b.Pages()
+			p := r.K.Page(b)
+			total += p.Pages()
+			if p.Order >= mem.Order2M {
+				covered += p.Pages()
 			}
 		}
 	}
@@ -432,9 +433,7 @@ func (r *Runner) TearDown() {
 	}
 	r.small = nil
 	for _, p := range r.unmov {
-		if p.Pinned {
-			r.K.Unpin(p)
-		}
+		r.K.Unpin(p)
 		r.K.Free(p)
 	}
 	r.unmov = nil

@@ -78,15 +78,15 @@ func (r *Runner) ExportState() *RunnerState {
 	for _, m := range r.mappings {
 		ms := MappingState{Bytes: m.Bytes}
 		for _, b := range m.Blocks {
-			ms.Blocks = append(ms.Blocks, b.PFN)
+			ms.Blocks = append(ms.Blocks, r.K.Page(b).PFN)
 		}
 		st.Mappings = append(st.Mappings, ms)
 	}
 	for _, p := range r.unmov {
-		st.Unmov = append(st.Unmov, p.PFN)
+		st.Unmov = append(st.Unmov, r.K.Page(p).PFN)
 	}
 	for _, p := range r.small {
-		st.Small = append(st.Small, p.PFN)
+		st.Small = append(st.Small, r.K.Page(p).PFN)
 	}
 	if r.slabMgr != nil {
 		// Group live handles per cache so each ExportState sees exactly
@@ -99,7 +99,7 @@ func (r *Runner) ExportState() *RunnerState {
 			st.Slab = append(st.Slab, r.slabMgr.Cache(ci).ExportState(byCache[ci]))
 		}
 		for _, so := range r.slabObjs {
-			pfn, slot := so.obj.PageOf()
+			pfn, slot := r.slabMgr.Cache(so.cache).PageOf(so.obj)
 			st.SlabObjs = append(st.SlabObjs, SlabObjState{Cache: so.cache, PFN: pfn, Slot: slot})
 		}
 	}
@@ -131,10 +131,10 @@ func RestoreRunner(k *kernel.Kernel, p Profile, seed uint64, st *RunnerState) (*
 		copy(r.oomBackoffUntil, st.OOMBackoffUntil)
 	}
 
-	page := func(pfn uint64, what string) (*kernel.Page, error) {
-		h := k.PageAt(pfn)
-		if h == nil {
-			return nil, fmt.Errorf("workload: restore: %s handle at pfn %d is not live", what, pfn)
+	page := func(pfn uint64, what string) (kernel.Handle, error) {
+		h, ok := k.PageAt(pfn)
+		if !ok {
+			return h, fmt.Errorf("workload: restore: %s handle at pfn %d is not live", what, pfn)
 		}
 		return h, nil
 	}
@@ -173,9 +173,7 @@ func RestoreRunner(k *kernel.Kernel, p Profile, seed uint64, st *RunnerState) (*
 				len(st.Slab), r.slabMgr.NumCaches())
 		}
 		for ci, cs := range st.Slab {
-			err := r.slabMgr.Cache(ci).ImportState(cs, func(pfn uint64) *kernel.Page {
-				return k.PageAt(pfn)
-			})
+			err := r.slabMgr.Cache(ci).ImportState(cs, k.PageAt)
 			if err != nil {
 				return nil, err
 			}

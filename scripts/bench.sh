@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Hot-path benchmark smoke: runs the simulator's key benchmarks —
 # warm/cold physical-memory scans, the Figure 4 fleet study, the
-# cold/warm result-cache campaign pair, buddy alloc/free, a workload
-# tick, and the covering-head lookup — and writes the parsed results
+# cold/warm result-cache campaign pair (plus a Contiguitas cold twin),
+# LIFO and address-ordered buddy alloc/free, a workload tick, and the
+# covering-head lookup — and writes the parsed results
 # (ns/op, B/op, allocs/op) as JSON. With COUNT > 1 each benchmark's
 # fields are the medians across the repetitions.
 #
@@ -57,7 +58,7 @@ fi
 out="${1:-BENCH.json}"
 benchtime="${BENCHTIME:-3x}"
 count="${COUNT:-1}"
-pattern='^(BenchmarkFullScan|BenchmarkFullScanCold|BenchmarkFig4ContiguityCDF|BenchmarkFleetCampaignCold|BenchmarkFleetCampaignWarm|BenchmarkBuddyAllocFree4K|BenchmarkWorkloadTick|BenchmarkAllocHead|BenchmarkTickTelemetryOff|BenchmarkTickTelemetryOn|BenchmarkMetricsExposition|BenchmarkTickScrapeUnderLoad)$'
+pattern='^(BenchmarkFullScan|BenchmarkFullScanCold|BenchmarkFig4ContiguityCDF|BenchmarkFleetCampaignCold|BenchmarkFleetCampaignColdContiguitas|BenchmarkFleetCampaignWarm|BenchmarkBuddyAllocFree4K|BenchmarkBuddyAllocFree4KOrdered|BenchmarkWorkloadTick|BenchmarkAllocHead|BenchmarkTickTelemetryOff|BenchmarkTickTelemetryOn|BenchmarkMetricsExposition|BenchmarkTickScrapeUnderLoad)$'
 
 raw="$(go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" .)"
 printf '%s\n' "$raw"
