@@ -23,7 +23,6 @@ func TestPublicAPISmoke(t *testing.T) {
 	if r.THPCoverage() <= 0 {
 		t.Fatal("no THP coverage")
 	}
-	r.TearDown()
 }
 
 func TestPublicProfiles(t *testing.T) {

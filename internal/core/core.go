@@ -47,13 +47,7 @@ func (d Design) String() string {
 type MachineConfig struct {
 	Design   Design
 	MemBytes uint64
-	// UnmovableInit/Min/Max size the unmovable region; zero values pick
-	// the paper's proportions (1/16 initial on the simulated scale,
-	// 4 GB on 64 GB in production).
-	UnmovableInit uint64
-	UnmovableMin  uint64
-	UnmovableMax  uint64
-	Seed          uint64
+	Seed     uint64
 }
 
 // DefaultMachineConfig returns an 8 GB simulation-scale server (the
@@ -86,21 +80,11 @@ func (mc MachineConfig) KernelConfig() kernel.Config {
 	cfg.MemBytes = mc.MemBytes
 	cfg.Seed = mc.Seed
 
-	init := mc.UnmovableInit
-	if init == 0 {
-		init = mc.MemBytes / 16
-	}
-	minB := mc.UnmovableMin
-	if minB == 0 {
-		minB = mc.MemBytes / 64
-	}
-	maxB := mc.UnmovableMax
-	if maxB == 0 {
-		maxB = mc.MemBytes / 2
-	}
-	cfg.InitialUnmovableBytes = init
-	cfg.MinUnmovableBytes = minB
-	cfg.MaxUnmovableBytes = maxB
+	// The unmovable region keeps the paper's proportions: 1/16 initial
+	// on the simulated scale (4 GB on 64 GB in production).
+	cfg.InitialUnmovableBytes = mc.MemBytes / 16
+	cfg.MinUnmovableBytes = mc.MemBytes / 64
+	cfg.MaxUnmovableBytes = mc.MemBytes / 2
 	cfg.MaxResizeStepBytes = mc.MemBytes / 32
 
 	if mc.Design == DesignContiguitasHW {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"contiguitas/internal/hw/contighw"
+	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/trans"
 	"contiguitas/internal/workload"
@@ -224,14 +225,13 @@ func TestEndToEndCoverageComposition(t *testing.T) {
 	}
 }
 
+// TestMigrationCostTable: the software-migration cost every machine's
+// kernel charges (Fig. 13's Linux series) grows with each victim core.
 func TestMigrationCostTable(t *testing.T) {
-	tbl := MigrationCostTable(8)
-	if len(tbl) != 8 {
-		t.Fatal("length")
-	}
-	for i := 1; i < len(tbl); i++ {
-		if tbl[i] <= tbl[i-1] {
-			t.Fatal("must grow with victims")
+	mcm := kernel.DefaultMigrationCostModel()
+	for v := 2; v <= 8; v++ {
+		if mcm.UnavailableCycles(v) <= mcm.UnavailableCycles(v-1) {
+			t.Fatalf("cost must grow with victims: %d victims cost no more than %d", v, v-1)
 		}
 	}
 }

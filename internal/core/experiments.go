@@ -4,7 +4,6 @@ import (
 	hwp "contiguitas/internal/hw"
 	"contiguitas/internal/hw/contighw"
 	"contiguitas/internal/hw/platform"
-	"contiguitas/internal/kernel"
 	"contiguitas/internal/mem"
 	"contiguitas/internal/trans"
 	"contiguitas/internal/workload"
@@ -374,15 +373,4 @@ func Sizing() SizingReport {
 		Entries:                  16,
 		Area:                     contighw.DefaultAreaModel(),
 	}
-}
-
-// MigrationCostTable exposes the software-migration cost model used in
-// kernel-level accounting, for the ablation output.
-func MigrationCostTable(maxVictims int) []uint64 {
-	mcm := kernel.DefaultMigrationCostModel()
-	var out []uint64
-	for v := 1; v <= maxVictims; v++ {
-		out = append(out, mcm.UnavailableCycles(v))
-	}
-	return out
 }

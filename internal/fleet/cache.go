@@ -41,11 +41,10 @@ import (
 // fixed arrays (deterministic gob bytes).
 const CacheSchemaVersion = 2
 
-// defaultCacheWait bounds a singleflight follower's wait for the
-// leader's Put. The flight is an optimization, never a correctness
-// gate: a follower that outwaits a wedged leader simulates the shard
-// itself.
-const defaultCacheWait = 10 * time.Second
+// cacheWait bounds a singleflight follower's wait for the leader's
+// Put. The flight is an optimization, never a correctness gate: a
+// follower that outwaits a wedged leader simulates the shard itself.
+const cacheWait = 10 * time.Second
 
 // shardFlight dedups concurrent identical-key shard computations across
 // every campaign in the process, so two sweeps racing over the same grid
@@ -122,7 +121,7 @@ func (c *campaign) tryCache(sr *shardRun) bool {
 	// crashed leader's retry re-joins as leader (ownership is the
 	// campaign, not the attempt).
 	if leader, wait := shardFlight.Join(key, c); !leader {
-		if wait(c.cacheWait) && c.loadCached(sr, key, false) {
+		if wait(cacheWait) && c.loadCached(sr, key, false) {
 			return true
 		}
 	}

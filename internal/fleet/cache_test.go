@@ -170,12 +170,12 @@ func TestCacheStaleSchemaRecomputed(t *testing.T) {
 	}
 }
 
-// TestCacheLRUBackendAndMetrics: the in-memory backend behaves like the
-// disk backend for in-process sweeps, and the campaign folds its tallies
-// into the cache_hits/cache_misses/cache_rejects registry counters.
-func TestCacheLRUBackendAndMetrics(t *testing.T) {
+// TestCacheMetrics: a warm run reproduces the cold study, and the
+// campaign folds its tallies into the cache_hits/cache_misses/
+// cache_rejects registry counters.
+func TestCacheMetrics(t *testing.T) {
 	cfg := tinyConfig()
-	cache := resultcache.NewLRU(64)
+	cache := resultcache.NewDir(t.TempDir(), CacheSchemaVersion)
 	reg := telemetry.NewRegistry()
 	run := func() *CampaignResult {
 		res, err := RunSupervised(context.Background(), SupervisedConfig{Fleet: cfg, Cache: cache, Metrics: reg})
@@ -186,10 +186,10 @@ func TestCacheLRUBackendAndMetrics(t *testing.T) {
 	}
 	cold, warm := run(), run()
 	if !reflect.DeepEqual(cold.Study.Samples, warm.Study.Samples) {
-		t.Fatal("LRU warm study differs from cold")
+		t.Fatal("warm study differs from cold")
 	}
 	if warm.CacheHits != uint64(cfg.Shards) {
-		t.Fatalf("LRU warm hits = %d, want %d", warm.CacheHits, cfg.Shards)
+		t.Fatalf("warm hits = %d, want %d", warm.CacheHits, cfg.Shards)
 	}
 	if got := reg.Counter("cache_hits").Value(); got != warm.CacheHits {
 		t.Fatalf("cache_hits counter = %d, want %d", got, warm.CacheHits)
@@ -206,7 +206,7 @@ func TestCacheLRUBackendAndMetrics(t *testing.T) {
 // all on the cache track, emitted from the supervisor goroutine.
 func TestCacheTracepoints(t *testing.T) {
 	cfg := tinyConfig()
-	cache := resultcache.NewLRU(64)
+	cache := resultcache.NewDir(t.TempDir(), CacheSchemaVersion)
 	countEvents := func(ring *telemetry.Ring, id telemetry.EventID) int {
 		n := 0
 		for _, rec := range ring.Snapshot(nil) {
@@ -241,7 +241,7 @@ func TestCacheTracepoints(t *testing.T) {
 // counts are timing-dependent; correctness is not.)
 func TestCacheConcurrentCampaigns(t *testing.T) {
 	cfg := tinyConfig()
-	cache := resultcache.NewLRU(64)
+	cache := resultcache.NewDir(t.TempDir(), CacheSchemaVersion)
 	want := Run(cfg).Samples
 	const campaigns = 6
 	results := make([][]Sample, campaigns)

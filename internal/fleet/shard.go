@@ -73,7 +73,7 @@ func DefaultShards(servers int) int {
 }
 
 // FaultPlan arms the campaign's injected faults. Each shard gets its own
-// injector (seeded from stats.ShardSeed over the plan seed), so one
+// injector (seeded from stats.ShardSeed over the study seed), so one
 // shard's crossings never perturb another's fault schedule, and the
 // schedule is reproducible bit-for-bit.
 //
@@ -84,40 +84,30 @@ func DefaultShards(servers int) int {
 // on every crossing can never get past the server it keeps killing and
 // ends in quarantine, which is the correct diagnosis).
 type FaultPlan struct {
-	// Seed separates the fault schedule from the study seed (0 uses the
-	// study seed).
-	Seed uint64
-	// CrashProb / CrashEveryN arm fault.PointFleetShardCrash: the shard
-	// attempt panics at a server boundary, losing work since its last
+	// CrashEveryN arms fault.PointFleetShardCrash: every Nth server
+	// boundary the shard attempt panics, losing work since its last
 	// checkpoint.
-	CrashProb   float64
 	CrashEveryN uint64
-	// CheckpointFailProb / CheckpointFailEveryN arm
-	// fault.PointFleetCheckpointWrite: the checkpoint write fails and the
-	// attempt crashes with an error.
-	CheckpointFailProb   float64
-	CheckpointFailEveryN uint64
+	// CheckpointFailProb arms fault.PointFleetCheckpointWrite: the
+	// checkpoint write fails with this probability and the attempt
+	// crashes with an error.
+	CheckpointFailProb float64
 }
 
 func (p FaultPlan) armed() bool {
-	return p.CrashProb > 0 || p.CrashEveryN > 0 ||
-		p.CheckpointFailProb > 0 || p.CheckpointFailEveryN > 0
+	return p.CrashEveryN > 0 || p.CheckpointFailProb > 0
 }
 
 func (p FaultPlan) injector(studySeed uint64, shard int) *fault.Injector {
 	if !p.armed() {
 		return nil
 	}
-	seed := p.Seed
-	if seed == 0 {
-		seed = studySeed
+	in := fault.New(stats.ShardSeed(studySeed^0xfa1107, shard))
+	if p.CrashEveryN > 0 {
+		in.Arm(fault.PointFleetShardCrash, fault.Trigger{EveryN: p.CrashEveryN})
 	}
-	in := fault.New(stats.ShardSeed(seed^0xfa1107, shard))
-	if p.CrashProb > 0 || p.CrashEveryN > 0 {
-		in.Arm(fault.PointFleetShardCrash, fault.Trigger{Prob: p.CrashProb, EveryN: p.CrashEveryN})
-	}
-	if p.CheckpointFailProb > 0 || p.CheckpointFailEveryN > 0 {
-		in.Arm(fault.PointFleetCheckpointWrite, fault.Trigger{Prob: p.CheckpointFailProb, EveryN: p.CheckpointFailEveryN})
+	if p.CheckpointFailProb > 0 {
+		in.Arm(fault.PointFleetCheckpointWrite, fault.Trigger{Prob: p.CheckpointFailProb})
 	}
 	return in
 }
@@ -161,10 +151,6 @@ type SupervisedConfig struct {
 	// entries (corrupt, torn, stale schema) are counted and recomputed —
 	// the cache can only ever cost correctness nothing.
 	Cache resultcache.Cache
-	// CacheWait bounds how long a shard waits for a concurrent identical
-	// computation (singleflight follower) before simulating anyway
-	// (<= 0 picks a default; the wait is always bounded).
-	CacheWait time.Duration
 	// Progress, when set, receives the campaign's live progress: the
 	// supervise.Observer lifecycle stream plus fleet-level unit counts
 	// and cache tallies (nil disables). The obsv campaign board
@@ -322,10 +308,9 @@ type campaign struct {
 	injectors     []*fault.Injector
 
 	// Result cache (nil disables). cacheKeys holds one content address
-	// per shard; cacheWait bounds singleflight follower waits.
+	// per shard.
 	cache     resultcache.Cache
 	cacheKeys []uint64
-	cacheWait time.Duration
 
 	mu   sync.Mutex
 	man  *snapshot.Manifest
@@ -381,10 +366,6 @@ func RunSupervised(ctx context.Context, scfg SupervisedConfig) (*CampaignResult,
 	}
 	if scfg.Cache != nil {
 		c.cache = scfg.Cache
-		c.cacheWait = scfg.CacheWait
-		if c.cacheWait <= 0 {
-			c.cacheWait = defaultCacheWait
-		}
 		c.cacheKeys = make([]uint64, shards)
 		for i := range c.cacheKeys {
 			c.cacheKeys[i] = ShardCacheKey(fcfg, i)

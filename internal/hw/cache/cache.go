@@ -11,13 +11,11 @@
 //     redirect traffic line-by-line according to copy progress,
 //   - noncacheable marking, bypassing private caches for pages under
 //     migration in the noncacheable design point, and
-//   - CollectAndInvalidate / ReadLLC / WriteLLC, the primitives the
+//   - CollectAndInvalidate / WriteLLC / DropLLC, the primitives the
 //     migration engine's BusRdX-and-copy sequence is built from.
 package cache
 
 import (
-	"fmt"
-
 	"contiguitas/internal/hw"
 	"contiguitas/internal/hw/dram"
 )
@@ -655,15 +653,6 @@ func (h *Hierarchy) HasPrivate(line uint64) bool {
 	return false
 }
 
-// ReadLLC returns the line's current value at the LLC level (or memory)
-// without coherence side effects.
-func (h *Hierarchy) ReadLLC(line uint64) (uint64, uint64) {
-	if e := h.llcLineEntry(line, false); e != nil {
-		return e.data, h.P.L3Latency
-	}
-	return h.mem[line], h.P.L3Latency + 100
-}
-
 // WriteLLC writes a value into the line's LLC entry (allocating it),
 // marking it dirty. Used by the migration copy engine.
 func (h *Hierarchy) WriteLLC(line uint64, val uint64) uint64 {
@@ -701,25 +690,3 @@ func (h *Hierarchy) AddSliceBusy(sliceIdx int, from, dur uint64) {
 
 // NumSlices returns the slice count.
 func (h *Hierarchy) NumSlices() int { return len(h.slices) }
-
-// CheckInclusion verifies that every valid private line has an LLC
-// directory entry listing the core — the invariant coherence relies on.
-func (h *Hierarchy) CheckInclusion() error {
-	for c, pr := range h.priv {
-		for _, set := range pr.l2Sets {
-			for i := range set {
-				if !set[i].valid {
-					continue
-				}
-				e := h.llcLineEntry(set[i].line, false)
-				if e == nil {
-					return fmt.Errorf("core %d caches line %d absent from LLC", c, set[i].line)
-				}
-				if e.sharers&(1<<uint(c)) == 0 {
-					return fmt.Errorf("core %d caches line %d without directory bit", c, set[i].line)
-				}
-			}
-		}
-	}
-	return nil
-}

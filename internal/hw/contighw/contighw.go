@@ -74,17 +74,6 @@ type Entry struct {
 	OnComplete func()
 }
 
-// Ptr returns the number of lines copied (the paper's Ptr counter).
-func (e *Entry) Ptr() int {
-	n := 0
-	for _, w := range e.copied {
-		for b := w; b != 0; b &= b - 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // lineCopied reports whether line off of page pageIdx has been copied.
 func (e *Entry) lineCopied(pageIdx, off int) bool {
 	return e.copied[pageIdx]&(1<<uint(off)) != 0
@@ -283,9 +272,6 @@ func (e *Engine) Lookup(ppn uint64) *Entry {
 	}
 	return e.byDst[ppn]
 }
-
-// TableOccupancy returns the number of active entries.
-func (e *Engine) TableOccupancy() int { return len(e.entries) }
 
 // startCopy schedules the copy of every line, grouped by home slice:
 // the paper's chained handoff runs slices one after another; the

@@ -45,7 +45,7 @@ func TestMigrationCopiesWholePage(t *testing.T) {
 			t.Fatalf("%v: entry state wrong: %+v", mode, ent)
 		}
 		for i := 0; i < hw.LinesPerPage; i++ {
-			v, _ := h.ReadLLC(hw.LineOfPage(200, i))
+			v, _, _ := h.CollectAndInvalidate(hw.LineOfPage(200, i))
 			if v != 1000+uint64(i) {
 				t.Fatalf("%v: dst line %d = %d, want %d", mode, i, v, 1000+uint64(i))
 			}

@@ -10,8 +10,8 @@ func TestRowHitCheaperThanMiss(t *testing.T) {
 	if second-first >= first-0 {
 		t.Fatalf("row hit (%d) not cheaper than opening (%d)", second-first, first)
 	}
-	if d.RowHitRate() != 0.5 {
-		t.Fatalf("hit rate = %v", d.RowHitRate())
+	if d.RowHits != 1 || d.Accesses != 2 {
+		t.Fatalf("row hits = %d of %d accesses, want 1 of 2", d.RowHits, d.Accesses)
 	}
 }
 

@@ -33,10 +33,9 @@ func (q *eventQueue) Pop() any {
 
 // Engine is the simulation clock and scheduler.
 type Engine struct {
-	q    eventQueue
-	now  uint64
-	seq  uint64
-	halt bool
+	q   eventQueue
+	now uint64
+	seq uint64
 }
 
 // New returns an engine at cycle 0.
@@ -57,13 +56,9 @@ func (e *Engine) At(cycle uint64, fn func()) {
 // After schedules fn delay cycles from now.
 func (e *Engine) After(delay uint64, fn func()) { e.At(e.now+delay, fn) }
 
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.q) }
-
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.halt = false
-	for len(e.q) > 0 && !e.halt {
+	for len(e.q) > 0 {
 		ev := heap.Pop(&e.q).(event)
 		e.now = ev.cycle
 		ev.fn()
@@ -73,8 +68,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with cycle <= limit; the clock ends at limit
 // if the queue drains earlier.
 func (e *Engine) RunUntil(limit uint64) {
-	e.halt = false
-	for len(e.q) > 0 && !e.halt {
+	for len(e.q) > 0 {
 		if e.q[0].cycle > limit {
 			break
 		}
@@ -86,6 +80,3 @@ func (e *Engine) RunUntil(limit uint64) {
 		e.now = limit
 	}
 }
-
-// Halt stops Run/RunUntil after the current event.
-func (e *Engine) Halt() { e.halt = true }

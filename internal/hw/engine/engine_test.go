@@ -63,21 +63,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := New()
-	count := 0
-	e.At(1, func() { count++; e.Halt() })
-	e.At(2, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Fatalf("halt did not stop the run: count = %d", count)
-	}
-	e.Run()
-	if count != 2 {
-		t.Fatal("second run must resume")
-	}
-}
-
 func TestRunUntilAdvancesClockWhenDrained(t *testing.T) {
 	e := New()
 	e.RunUntil(500)

@@ -45,9 +45,6 @@ func (u *IOMMU) QueueInvalidation(vpn uint64) {
 	u.invQueue = append(u.invQueue, vpn)
 }
 
-// QueueDepth returns pending invalidations.
-func (u *IOMMU) QueueDepth() int { return len(u.invQueue) }
-
 // Device is a cache-coherent device (the NIC) with a private TLB that
 // caches translations from the IOMMU.
 type Device struct {

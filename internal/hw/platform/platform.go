@@ -79,10 +79,6 @@ func NewMachine(p hw.Params, contigMode *contighw.Mode) *Machine {
 	return m
 }
 
-// Mode returns the attached Contiguitas-HW design point; only meaningful
-// when Contig is non-nil.
-func (m *Machine) Mode() contighw.Mode { return m.mode }
-
 // MapPage installs a 4 KB VPN→PPN translation.
 func (m *Machine) MapPage(vpn, ppn uint64) { m.pageTable[vpn] = ppn }
 

@@ -151,7 +151,7 @@ func TestDeviceTrafficDuringMigration(t *testing.T) {
 		step := 0
 		for !done && step < 10000 {
 			m.Eng.RunUntil(m.Eng.Now() + 200)
-			if m.Eng.Pending() == 0 {
+			if done {
 				break
 			}
 			i := step % hw.LinesPerPage

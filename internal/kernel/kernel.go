@@ -524,9 +524,6 @@ func (k *Kernel) ZoneSteals() StealStats {
 // (page-cache) allocations.
 func (k *Kernel) ReclaimablePages() uint64 { return k.reclaimablePages }
 
-// LiveAllocations returns the number of live allocation handles.
-func (k *Kernel) LiveAllocations() int { return k.live.len() }
-
 // buddyFor routes an allocation class to its region.
 func (k *Kernel) buddyFor(mt mem.MigrateType) *mem.Buddy {
 	if k.cfg.Mode == ModeLinux {

@@ -109,6 +109,3 @@ func (k *Kernel) AttachSampler(capacity int) *telemetry.Sampler {
 	k.sampler = telemetry.NewSampler(k.Metrics(), capacity)
 	return k.sampler
 }
-
-// Sampler returns the attached sampler (nil when none).
-func (k *Kernel) Sampler() *telemetry.Sampler { return k.sampler }

@@ -62,10 +62,6 @@ func (k *Kernel) OOMHistory() []pressure.Kill {
 	return append([]pressure.Kill(nil), k.oomHistory...)
 }
 
-// Shedding reports whether the admission gate is currently refusing
-// new movable allocations.
-func (k *Kernel) Shedding() bool { return k.gate.Shedding() }
-
 // oomHistoryCap bounds the kill log; a misbehaving workload killing
 // every tick must not grow the snapshot without bound.
 const oomHistoryCap = 256

@@ -123,10 +123,3 @@ func (k *Kernel) EndTick() {
 		k.sink.OnTick()
 	}
 }
-
-// RunTicks advances n idle ticks (no workload activity).
-func (k *Kernel) RunTicks(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		k.EndTick()
-	}
-}

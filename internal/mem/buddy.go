@@ -42,10 +42,10 @@ type Buddy struct {
 
 	// blockCount counts the free blocks on each (order, migratetype)
 	// list; mtMask[mt] has bit o set iff blockCount[o][mt] > 0. They
-	// make LargestFreeOrder and FreeBlocks O(1), and let the allocation
-	// paths jump straight to the next non-empty list with one bit scan
-	// instead of probing every order (the probe loops dominated
-	// overcommitted study profiles, where most allocations fail).
+	// let the allocation paths jump straight to the next non-empty list
+	// with one bit scan instead of probing every order (the probe loops
+	// dominated overcommitted study profiles, where most allocations
+	// fail).
 	blockCount [MaxOrder + 1][NumMigrateTypes]uint32
 	mtMask     [NumMigrateTypes]uint32
 
@@ -122,26 +122,6 @@ func (b *Buddy) Owns(pfn uint64) bool { return pfn >= b.start && pfn < b.end }
 
 // FreePages returns the total number of free frames in the region.
 func (b *Buddy) FreePages() uint64 { return b.freeTotal }
-
-// LargestFreeOrder returns the order of the largest free block, or -1 when
-// the region is completely allocated. O(1) via the maintained order masks.
-func (b *Buddy) LargestFreeOrder() int {
-	var m uint32
-	for mt := 0; mt < NumMigrateTypes; mt++ {
-		m |= b.mtMask[mt]
-	}
-	return bits.Len32(m) - 1
-}
-
-// FreeBlocks returns the number of free blocks of exactly the given order
-// across all migratetype lists. O(1) via the maintained histogram.
-func (b *Buddy) FreeBlocks(order int) int {
-	n := 0
-	for mt := 0; mt < NumMigrateTypes; mt++ {
-		n += int(b.blockCount[order][mt])
-	}
-	return n
-}
 
 // noteBlockAdd records a block entering the (order, mt) free list.
 func (b *Buddy) noteBlockAdd(order int, mt MigrateType) {

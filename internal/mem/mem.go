@@ -222,9 +222,6 @@ func (pm *PhysMem) DirtyAll() {
 	pm.dirtyCount = npb
 }
 
-// Bytes returns the machine's memory size in bytes.
-func (pm *PhysMem) Bytes() uint64 { return pm.NPages * PageSize }
-
 // NumPageblocks returns the number of 2 MB pageblocks.
 func (pm *PhysMem) NumPageblocks() uint64 { return pm.NPages / PageblockPages }
 
@@ -256,9 +253,6 @@ func (pm *PhysMem) BlockOrder(pfn uint64) int { return metaOrder(pm.meta[pfn]) }
 
 // PageMT returns the migratetype recorded for an allocated frame.
 func (pm *PhysMem) PageMT(pfn uint64) MigrateType { return metaMT(pm.meta[pfn]) }
-
-// PageSource returns the source recorded for an allocated frame.
-func (pm *PhysMem) PageSource(pfn uint64) Source { return metaSrc(pm.meta[pfn]) }
 
 // SetPinned marks or unmarks the whole block headed at pfn as pinned.
 // Pinned frames are treated as strictly unmovable by every scanner and by

@@ -174,15 +174,6 @@ func (c *Campaign) ObserveCache(hits, misses, rejects uint64) {
 	c.cache = CacheStatus{Hits: hits, Misses: misses, Rejects: rejects}
 }
 
-// MarkEnded force-ends a campaign that does not run under the
-// supervisor (e.g. a plain unsupervised sweep's reference phase).
-func (c *Campaign) MarkEnded(complete bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ended = true
-	c.complete = complete
-}
-
 // Status renders the board row.
 func (c *Campaign) Status() CampaignStatus {
 	c.mu.Lock()

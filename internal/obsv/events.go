@@ -132,23 +132,6 @@ func (b *EventBus) Close() {
 	b.closeOnce.Do(func() { close(b.closed) })
 }
 
-// Dropped returns the total records shed across all subscribers.
-func (b *EventBus) Dropped() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.droppedTotal.Load()
-}
-
-// Published returns records offered while at least one subscriber
-// existed (a Publish with no subscribers does not count).
-func (b *EventBus) Published() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.published.Load()
-}
-
 // busEvent is the JSON rendering of one record on the wire: the raw
 // args plus the event's stable name and its per-arg names from Meta,
 // so a consumer needs no side table.

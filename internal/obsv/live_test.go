@@ -98,13 +98,11 @@ func TestLiveCampaignUnderConcurrentScrapes(t *testing.T) {
 	ring := telemetry.NewRing(1 << 10)
 	ring.SetSink(bus.Sink())
 
-	srv, err := obsv.Start(obsv.Options{
-		Addr: "127.0.0.1:0", Publisher: pub, Board: board, Bus: bus,
-		MetricsWait: 50 * time.Millisecond,
-	})
+	srv, err := obsv.Start(obsv.Options{Addr: "127.0.0.1:0", Board: board, Bus: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.SetPublisher(pub)
 	base := srv.URL()
 	client := &http.Client{Timeout: 5 * time.Second}
 

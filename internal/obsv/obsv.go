@@ -53,22 +53,20 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
+// metricsWait bounds how long /metrics waits for the writer to pump a
+// fresh snapshot before serving the latest stale one.
+const metricsWait = 150 * time.Millisecond
+
 // Options configures a Server. Any nil component simply disables its
 // endpoints' content (they still answer, with empty or placeholder
 // bodies, so probes never need to special-case partial deployments).
 type Options struct {
 	// Addr is the listen address (":0" for an ephemeral port).
 	Addr string
-	// Publisher feeds /metrics.
-	Publisher *telemetry.Publisher
 	// Board feeds /campaigns.
 	Board *Board
 	// Bus feeds /events.
 	Bus *EventBus
-	// MetricsWait bounds how long /metrics waits for the writer to pump
-	// a fresh snapshot before serving the latest stale one (0 picks
-	// 150ms).
-	MetricsWait time.Duration
 	// Extend, when non-nil, registers extra routes on the server's mux
 	// before it starts serving. This is how a daemon (cmd/contigd) mounts
 	// its own API next to the observability endpoints without obsv
@@ -100,13 +98,7 @@ func Start(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.MetricsWait <= 0 {
-		opts.MetricsWait = 150 * time.Millisecond
-	}
 	s := &Server{ln: ln, bus: opts.Bus, opts: opts}
-	if opts.Publisher != nil {
-		s.pub.Store(opts.Publisher)
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.serveHealthz)
@@ -215,7 +207,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Fresh asks the writer for a snapshot at its next boundary and
 	// falls back to the latest stale one — a scrape can be slightly
 	// old but can never block or race the simulation.
-	snap := s.pub.Load().Fresh(s.opts.MetricsWait)
+	snap := s.pub.Load().Fresh(metricsWait)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = WritePromText(w, snap)
 }

@@ -241,17 +241,6 @@ func (e *Escalation) Note(r Rung, tick uint64) {
 	}
 }
 
-// MaxRung returns the deepest rung reached.
-func (e *Escalation) MaxRung() Rung {
-	max := RungFast
-	for r := 0; r < NumRungs; r++ {
-		if e.Hits[r] > 0 {
-			max = Rung(r)
-		}
-	}
-	return max
-}
-
 // Ordered reports whether the escalation profile is monotone: among
 // the emergency rungs (throttle, resize, OOM), each rung that was
 // reached was first reached no earlier than the rung before it. The

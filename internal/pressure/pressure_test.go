@@ -110,8 +110,8 @@ func TestBadness(t *testing.T) {
 
 func TestEscalationProfile(t *testing.T) {
 	var e Escalation
-	if e.MaxRung() != RungFast || !e.Ordered() {
-		t.Fatalf("zero escalation: max=%v ordered=%v", e.MaxRung(), e.Ordered())
+	if e.Hits != [NumRungs]uint64{} || !e.Ordered() {
+		t.Fatalf("zero escalation: %+v ordered=%v", e, e.Ordered())
 	}
 	// Reclaim/compact fire early and routinely — never affect ordering.
 	e.Note(RungReclaim, 0)
@@ -120,8 +120,8 @@ func TestEscalationProfile(t *testing.T) {
 	e.Note(RungResize, 120)
 	e.Note(RungOOM, 150)
 	e.Note(RungThrottle, 200) // later revisits don't disturb FirstTick
-	if e.MaxRung() != RungOOM {
-		t.Fatalf("max rung %v, want oom", e.MaxRung())
+	if e.Hits[RungOOM] != 1 {
+		t.Fatalf("oom hits %d, want 1", e.Hits[RungOOM])
 	}
 	if !e.Ordered() {
 		t.Fatalf("monotone profile reported unordered: %+v", e)

@@ -5,9 +5,9 @@
 // algorithm consumes the two per-region pressures.
 //
 // The simulator advances in discrete ticks. Each tick the kernel reports
-// the fraction of the tick spent stalled on memory; the tracker keeps
-// exponentially-decayed averages analogous to the kernel's avg10/60/300
-// windows.
+// the fraction of the tick spent stalled on memory; the tracker keeps an
+// exponentially-decayed average analogous to one of the kernel's
+// avg10/60/300 windows.
 package psi
 
 import (
@@ -50,12 +50,6 @@ func (t *Tracker) Tick(stalledFraction float64) {
 
 // Pressure returns the current windowed stall percentage in [0, 100].
 func (t *Tracker) Pressure() float64 { return t.avg * 100 }
-
-// TotalStallTicks returns the lifetime sum of stall fractions.
-func (t *Tracker) TotalStallTicks() float64 { return t.total }
-
-// Ticks returns how many ticks have been recorded.
-func (t *Tracker) Ticks() uint64 { return t.ticks }
 
 // String renders the tracker compactly.
 func (t *Tracker) String() string {
@@ -117,41 +111,6 @@ func (r Region) String() string {
 		return "unmovable"
 	}
 	return fmt.Sprintf("region(%d)", uint8(r))
-}
-
-// Triple mirrors the kernel's three PSI windows (avg10, avg60, avg300):
-// the same stall stream smoothed over three half-lives, so consumers can
-// distinguish a transient spike from sustained pressure.
-type Triple struct {
-	Avg10  *Tracker
-	Avg60  *Tracker
-	Avg300 *Tracker
-}
-
-// NewTriple builds the three windows. tickMs converts the kernel-style
-// window lengths (seconds) into simulation ticks (1 tick = tickMs ms).
-func NewTriple(tickMs float64) *Triple {
-	if tickMs <= 0 {
-		tickMs = 1
-	}
-	perSecond := 1000 / tickMs
-	return &Triple{
-		Avg10:  NewTracker(10 * perSecond),
-		Avg60:  NewTracker(60 * perSecond),
-		Avg300: NewTracker(300 * perSecond),
-	}
-}
-
-// Tick feeds one tick's stall fraction into all three windows.
-func (t *Triple) Tick(stalledFraction float64) {
-	t.Avg10.Tick(stalledFraction)
-	t.Avg60.Tick(stalledFraction)
-	t.Avg300.Tick(stalledFraction)
-}
-
-// Pressures returns the three window percentages (10s, 60s, 300s).
-func (t *Triple) Pressures() (p10, p60, p300 float64) {
-	return t.Avg10.Pressure(), t.Avg60.Pressure(), t.Avg300.Pressure()
 }
 
 // PerRegion tracks pressure separately for the movable and unmovable
@@ -223,9 +182,6 @@ func (p *PerRegion) Pressure(r Region) float64 { return p.trackers[r].Pressure()
 // far in the current (not yet closed) tick. The admission gate samples
 // it at the tick barrier to feed its own short-half-life tracker.
 func (p *PerRegion) Pending(r Region) float64 { return p.pending[r] }
-
-// Tracker exposes the underlying tracker for a region.
-func (p *PerRegion) Tracker(r Region) *Tracker { return p.trackers[r] }
 
 // Snapshot captures the region's tracker state.
 func (p *PerRegion) Snapshot(r Region) Snapshot { return p.trackers[r].Snapshot() }

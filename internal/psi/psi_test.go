@@ -41,11 +41,10 @@ func TestTrackerClampsInput(t *testing.T) {
 	tr := NewTracker(5)
 	tr.Tick(5)
 	tr.Tick(-3)
-	if tr.TotalStallTicks() != 1 {
-		t.Fatalf("total stall = %v, want 1 (clamped)", tr.TotalStallTicks())
-	}
-	if tr.Ticks() != 2 {
-		t.Fatalf("ticks = %d, want 2", tr.Ticks())
+	if snap := tr.Snapshot(); snap.TotalStall != 1 {
+		t.Fatalf("total stall = %v, want 1 (clamped)", snap.TotalStall)
+	} else if snap.Ticks != 2 {
+		t.Fatalf("ticks = %d, want 2", snap.Ticks)
 	}
 }
 
@@ -93,7 +92,7 @@ func TestPerRegionAccumulatesWithinTick(t *testing.T) {
 	}
 	// Pending resets after EndTick.
 	p.EndTick()
-	if p.Tracker(RegionMovable).Ticks() != 2 {
+	if p.Snapshot(RegionMovable).Ticks != 2 {
 		t.Fatal("EndTick must always record a tick")
 	}
 }
@@ -107,14 +106,14 @@ func TestPerRegionClampsAtFullTick(t *testing.T) {
 	p.AddStall(RegionMovable, 0.9)
 	p.AddStall(RegionMovable, 2.5)
 	p.EndTick()
-	if total := p.Tracker(RegionMovable).TotalStallTicks(); total != 1 {
+	if total := p.Snapshot(RegionMovable).TotalStall; total != 1 {
 		t.Fatalf("total stall = %v, want 1 (clamped at a full tick)", total)
 	}
 	// Negative fractions are ignored at AddStall, not subtracted.
 	p.AddStall(RegionMovable, -0.5)
 	p.AddStall(RegionMovable, 0.25)
 	p.EndTick()
-	if total := p.Tracker(RegionMovable).TotalStallTicks(); total != 1.25 {
+	if total := p.Snapshot(RegionMovable).TotalStall; total != 1.25 {
 		t.Fatalf("total stall = %v, want 1.25", total)
 	}
 }
@@ -174,32 +173,5 @@ func TestRegionString(t *testing.T) {
 	}
 	if Region(9).String() == "" {
 		t.Fatal("unknown region must stringify")
-	}
-}
-
-func TestTripleWindows(t *testing.T) {
-	tr := NewTriple(1) // 1ms ticks: windows 10000/60000/300000 ticks
-	for i := 0; i < 5000; i++ {
-		tr.Tick(1)
-	}
-	p10, p60, p300 := tr.Pressures()
-	// Shorter windows react faster to the same stall burst.
-	if !(p10 > p60 && p60 > p300) {
-		t.Fatalf("window ordering broken: %v %v %v", p10, p60, p300)
-	}
-	for i := 0; i < 20000; i++ {
-		tr.Tick(0)
-	}
-	q10, q60, _ := tr.Pressures()
-	if q10 >= p10 || q60 >= p60 {
-		t.Fatal("windows must decay when stalls stop")
-	}
-}
-
-func TestNewTripleDefaultsTickMs(t *testing.T) {
-	tr := NewTriple(0)
-	tr.Tick(0.5)
-	if tr.Avg10.Ticks() != 1 {
-		t.Fatal("triple not ticking")
 	}
 }

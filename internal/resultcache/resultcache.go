@@ -21,14 +21,17 @@
 //     miss (recompute, then Put to overwrite the bad entry) and account
 //     for it separately (the fleet's cache_rejects counter).
 //
-// Concurrency. Both backends are safe for concurrent use. Flight adds
-// singleflight deduplication on top: concurrent computations of the same
-// key elect one leader, and followers wait for the leader's Put instead
-// of simulating the same inputs again.
+// Backends. Dir, one sealed file per key, is the only backend; the
+// Cache interface stays so a caller can decorate it (perfbench wraps a
+// Dir to time every Get).
+//
+// Concurrency. Dir is safe for concurrent use. Flight adds singleflight
+// deduplication on top: concurrent computations of the same key elect
+// one leader, and followers wait for the leader's Put instead of
+// simulating the same inputs again.
 package resultcache
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -142,75 +145,6 @@ func (d *Dir) Get(key uint64) ([]byte, error) {
 func (d *Dir) Put(key uint64, payload []byte) error {
 	data := envelope.Seal(Magic, FormatVersion, d.schema, key, payload)
 	return vfs.WriteFileDurable(vfs.Active(), d.EntryPath(key), data)
-}
-
-// LRU is the in-process backend: a bounded map evicting the
-// least-recently-used entry, for sweeps that revisit configurations
-// within one process. Entries cannot rot in memory and the schema is
-// fixed for the cache's lifetime, so Get can only miss or hit.
-type LRU struct {
-	mu    sync.Mutex
-	cap   int
-	byKey map[uint64]*list.Element
-	order *list.List // front = most recent
-}
-
-type lruEntry struct {
-	key     uint64
-	payload []byte
-}
-
-// NewLRU returns an in-memory cache bounded to capacity entries
-// (minimum 1). It takes no schema: a process-local cache never outlives
-// the schema of the process that fills it.
-func NewLRU(capacity int) *LRU {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &LRU{
-		cap:   capacity,
-		byKey: make(map[uint64]*list.Element),
-		order: list.New(),
-	}
-}
-
-// Get implements Cache.
-func (c *LRU) Get(key uint64) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, ErrMiss
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).payload, nil
-}
-
-// Put implements Cache.
-func (c *LRU) Put(key uint64, payload []byte) error {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*lruEntry).payload = cp
-		c.order.MoveToFront(el)
-		return nil
-	}
-	c.byKey[key] = c.order.PushFront(&lruEntry{key: key, payload: cp})
-	for len(c.byKey) > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.byKey, last.Value.(*lruEntry).key)
-	}
-	return nil
-}
-
-// Len returns the number of live entries.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byKey)
 }
 
 // Flight deduplicates concurrent computations of one key: the first

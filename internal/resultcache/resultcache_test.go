@@ -127,77 +127,12 @@ func TestDirRejectsSwappedKey(t *testing.T) {
 	}
 }
 
-func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	c := NewLRU(2)
-	for k := uint64(1); k <= 2; k++ {
-		if err := c.Put(k, []byte{byte(k)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch 1 so 2 becomes the eviction victim.
-	if _, err := c.Get(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(3, []byte{3}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-	if _, err := c.Get(2); !errors.Is(err, ErrMiss) {
-		t.Fatalf("evicted Get = %v, want ErrMiss", err)
-	}
-	for _, k := range []uint64{1, 3} {
-		if _, err := c.Get(k); err != nil {
-			t.Fatalf("retained key %d: %v", k, err)
-		}
-	}
-}
-
-// TestLRUCopiesPayload: the cache must not alias the caller's buffer —
-// fleet reuses encode buffers across shards.
-func TestLRUCopiesPayload(t *testing.T) {
-	c := NewLRU(4)
-	buf := []byte("original")
-	if err := c.Put(5, buf); err != nil {
-		t.Fatal(err)
-	}
-	copy(buf, "CLOBBER!")
-	got, err := c.Get(5)
-	if err != nil || string(got) != "original" {
-		t.Fatalf("Get = %q, %v; cache aliased the caller's buffer", got, err)
-	}
-}
-
-func TestLRUConcurrentAccess(t *testing.T) {
-	c := NewLRU(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := uint64(i % 32)
-				if err := c.Put(k, []byte{byte(g), byte(i)}); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := c.Get(k); err != nil && !errors.Is(err, ErrMiss) {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 // TestFlightSingleComputation: many goroutines race to compute one key;
 // exactly one becomes the leader, everyone else waits and then reads the
 // leader's Put.
 func TestFlightSingleComputation(t *testing.T) {
 	f := NewFlight()
-	c := NewLRU(8)
+	c := NewDir(t.TempDir(), 1)
 	const goroutines = 16
 	var computations atomic.Uint64
 	var wg sync.WaitGroup

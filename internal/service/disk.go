@@ -76,9 +76,6 @@ func OpenDisk(root string) (*Disk, error) {
 	return &Disk{root: root}, nil
 }
 
-// Root returns the directory the store is rooted at.
-func (d *Disk) Root() string { return d.root }
-
 func (d *Disk) dir(id string) string {
 	return filepath.Join(d.root, "campaigns", id)
 }

@@ -323,9 +323,6 @@ func (s *Scheduler) NoteScrub(r *ScrubReport) {
 	s.stScrubRequeue.Add(uint64(len(r.Requeued)))
 }
 
-// Degraded reports whether the daemon is in read-only degraded mode.
-func (s *Scheduler) Degraded() bool { return s.degraded.Load() }
-
 // Health returns the /healthz status string: "ok", or "degraded" while
 // the store's write path is down and only reads are served.
 func (s *Scheduler) Health() string {

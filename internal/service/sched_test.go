@@ -295,6 +295,40 @@ func TestSubmitRejectsUnbootableMachines(t *testing.T) {
 	}
 }
 
+// TestSpecCostBudget: admission bounds the product servers × cells ×
+// mem_mib × ticks_max, not only each axis; the largest documented
+// campaigns stay far inside the budget, and a spec exactly at it is
+// admitted.
+func TestSpecCostBudget(t *testing.T) {
+	cases := []struct {
+		name    string
+		servers int
+		designs []string
+		mems    []uint64
+		jitters []float64
+		ticks   uint64
+		ok      bool
+	}{
+		{"fleetscan -servers 500", 500, nil, []uint64{1024}, nil, 600, true},
+		{"fleetscan default sweep", 200, []string{"linux", "contiguitas"}, []uint64{512, 1024}, []float64{0, 0.2}, 600, true},
+		{"at the budget", 4096, nil, []uint64{1024}, nil, 1 << 18, true},
+		{"one server over", 4097, nil, []uint64{1024}, nil, 1 << 18, false},
+		{"cells multiply", 4096, []string{"linux", "contiguitas"}, []uint64{1024}, nil, 1 << 18, false},
+		{"mems add up", 4096, nil, []uint64{1024, 16}, nil, 1 << 18, false},
+		{"every axis at its own maximum", 1_000_000, nil, []uint64{1 << 20}, nil, 1_000_000, false},
+	}
+	for _, tc := range cases {
+		sp := Spec{Servers: tc.servers, Designs: tc.designs, MemsMiB: tc.mems, Jitters: tc.jitters, TicksMax: tc.ticks}
+		err := sp.normalized().validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: validate = %v, want ErrBadSpec", tc.name, err)
+		}
+	}
+}
+
 // TestQueueAdmissionBound: with no workers draining the queue, submits
 // beyond QueueDepth get ErrQueueFull; distinct keys, distinct records.
 func TestQueueAdmissionBound(t *testing.T) {

@@ -164,6 +164,12 @@ func (sp Spec) normalized() Spec {
 	return sp
 }
 
+// maxCost bounds a campaign's total work in server·MiB·ticks: the sum
+// over its cells of servers × mem_mib × ticks_max. Each axis is bounded
+// on its own below, but their product is what a campaign costs; 2^40 is
+// over a thousand times fleetscan's default sweep (~7e8).
+const maxCost = 1 << 40
+
 // validate rejects a normalized spec with a typed, human-readable
 // reason. Bounds are generous — this is admission sanity, not policy.
 func (sp Spec) validate() error {
@@ -216,6 +222,15 @@ func (sp Spec) validate() error {
 	}
 	if len(sp.Designs)*len(sp.MemsMiB)*len(sp.Jitters) > 256 {
 		return bad("grid has %d cells (max 256)", len(sp.Designs)*len(sp.MemsMiB)*len(sp.Jitters))
+	}
+	// In float64: the product of in-range axes (up to ~3e26) overflows uint64.
+	var mib float64
+	for _, m := range sp.MemsMiB {
+		mib += float64(m)
+	}
+	cost := float64(sp.Servers) * float64(len(sp.Designs)*len(sp.Jitters)) * mib * float64(sp.TicksMax)
+	if cost > maxCost {
+		return bad("campaign costs %.3g server·MiB·ticks (max %d)", cost, maxCost)
 	}
 	return nil
 }

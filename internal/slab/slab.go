@@ -100,12 +100,6 @@ func NewCache(name string, objSize int, src PageSource) (*Cache, error) {
 // Name returns the cache's name.
 func (c *Cache) Name() string { return c.name }
 
-// ObjSize returns the size class in bytes.
-func (c *Cache) ObjSize() int { return c.objSize }
-
-// ObjectsPerPage returns the packing density.
-func (c *Cache) ObjectsPerPage() int { return c.perPage }
-
 // Alloc returns one object, growing the cache by a page when every
 // existing slab is full.
 func (c *Cache) Alloc() (Obj, error) {
@@ -216,16 +210,6 @@ func (sp *slabPage) findFree() int {
 // backing page spans 2^gfpOrder frames).
 func (c *Cache) Frames() int { return c.PagesHeld << c.gfpOrder }
 
-// Utilization is live objects over capacity across held pages — the
-// packing efficiency whose complement is the internal fragmentation
-// that keeps nearly-empty pages pinned.
-func (c *Cache) Utilization() float64 {
-	if c.PagesHeld == 0 {
-		return 0
-	}
-	return float64(c.Objects) / float64(c.PagesHeld*c.perPage)
-}
-
 // Manager is a set of standard size classes, like /proc/slabinfo's
 // kmalloc caches plus the named object caches networking and VFS churn.
 type Manager struct {
@@ -273,15 +257,6 @@ func (m *Manager) PagesHeld() int {
 	n := 0
 	for _, c := range m.caches {
 		n += c.Frames()
-	}
-	return n
-}
-
-// Objects sums live objects across classes.
-func (m *Manager) Objects() int {
-	n := 0
-	for _, c := range m.caches {
-		n += c.Objects
 	}
 	return n
 }

@@ -31,12 +31,12 @@ func testKernel() *kernel.Kernel {
 func TestPackingDensity(t *testing.T) {
 	k := testKernel()
 	c := mustCache(t, "dentry", 320, k)
-	if c.ObjectsPerPage() != 4096/320 {
-		t.Fatalf("objects per page = %d", c.ObjectsPerPage())
+	if c.perPage != 4096/320 {
+		t.Fatalf("objects per page = %d", c.perPage)
 	}
 	// Fill exactly one page's worth: one backing page only.
 	var objs []Obj
-	for i := 0; i < c.ObjectsPerPage(); i++ {
+	for i := 0; i < c.perPage; i++ {
 		o, err := c.Alloc()
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +61,7 @@ func TestPageReleasedWhenEmpty(t *testing.T) {
 	c := mustCache(t, "sock", 768, k)
 	before := k.FreePages()
 	var objs []Obj
-	for i := 0; i < c.ObjectsPerPage(); i++ {
+	for i := 0; i < c.perPage; i++ {
 		o, _ := c.Alloc()
 		objs = append(objs, o)
 	}
@@ -85,7 +85,7 @@ func TestOneImmortalObjectPinsThePage(t *testing.T) {
 	k := testKernel()
 	c := mustCache(t, "dentry", 320, k)
 	var objs []Obj
-	for i := 0; i < c.ObjectsPerPage(); i++ {
+	for i := 0; i < c.perPage; i++ {
 		o, _ := c.Alloc()
 		objs = append(objs, o)
 	}
@@ -134,8 +134,8 @@ func TestLargeObjectsUseHigherOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ObjectsPerPage() < 2 {
-		t.Fatalf("objects per slab = %d", c.ObjectsPerPage())
+	if c.perPage < 2 {
+		t.Fatalf("objects per slab = %d", c.perPage)
 	}
 	c.Free(o)
 }
@@ -156,7 +156,7 @@ func TestManagerClasses(t *testing.T) {
 	var caches []*Cache
 	for i := 0; i < m.NumCaches(); i++ {
 		c := m.Cache(i)
-		if c.Name() != StandardClasses[i].Name || c.ObjSize() != StandardClasses[i].Size {
+		if c.Name() != StandardClasses[i].Name || c.objSize != StandardClasses[i].Size {
 			t.Fatal("class metadata")
 		}
 		o, err := c.Alloc()
@@ -208,7 +208,7 @@ func TestQuickSlabConservation(t *testing.T) {
 			}
 			// Density bound: pages never exceed what the object count
 			// strictly requires plus the partially-filled tail.
-			minPages := (len(live) + c.ObjectsPerPage() - 1) / c.ObjectsPerPage()
+			minPages := (len(live) + c.perPage - 1) / c.perPage
 			if c.PagesHeld < minPages {
 				return false
 			}
@@ -264,7 +264,7 @@ func TestSlabFragmentationUnderChurn(t *testing.T) {
 		live[j] = live[len(live)-1]
 		live = live[:len(live)-1]
 	}
-	minPages := (len(live) + c.ObjectsPerPage() - 1) / c.ObjectsPerPage()
+	minPages := (len(live) + c.perPage - 1) / c.perPage
 	if c.PagesHeld < 2*minPages {
 		t.Fatalf("die-off should leave heavy slack: held=%d perfect=%d", c.PagesHeld, minPages)
 	}

@@ -116,42 +116,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// Exponential returns an exponential sample with the given rate lambda.
-func (r *RNG) Exponential(lambda float64) float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		return -math.Log(u) / lambda
-	}
-}
-
-// Poisson returns a Poisson sample with the given mean (Knuth's algorithm
-// for small means, normal approximation above 64 to bound the loop).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		n := int(mean + math.Sqrt(mean)*r.NormFloat64() + 0.5)
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Zipf draws ranks in [0, n) following a Zipf distribution with exponent s.
 // It uses a precomputed cumulative table, so construction is O(n) and each
 // draw is O(log n). Used for access-locality modelling (hot pages).

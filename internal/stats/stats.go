@@ -1,11 +1,10 @@
 // Package stats provides the statistical primitives used throughout the
-// Contiguitas simulators: descriptive statistics, empirical CDFs, histograms,
-// Pearson correlation, and deterministic random distributions (Zipf,
+// Contiguitas simulators: descriptive statistics, empirical CDFs, Pearson
+// correlation, and deterministic random distributions (Zipf,
 // log-normal lifetimes) seeded explicitly so every experiment is reproducible.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -21,23 +20,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.
 // It returns 0 when the slices differ in length, are shorter than two
@@ -89,24 +71,13 @@ type CDF struct {
 	sorted []float64
 }
 
-// NewCDF builds an empirical CDF from samples (copied and sorted).
-func NewCDF(samples []float64) *CDF {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
 // NewCDFInPlace builds an empirical CDF that takes ownership of samples,
-// sorting them in place instead of copying. Use it when the caller built
-// the slice solely for the CDF (study aggregation loops), where the copy
-// in NewCDF would double the allocation per call.
+// sorting them in place instead of copying: callers build the slice
+// solely for the CDF (study aggregation loops).
 func NewCDFInPlace(samples []float64) *CDF {
 	sort.Float64s(samples)
 	return &CDF{sorted: samples}
 }
-
-// N returns the number of samples underlying the CDF.
-func (c *CDF) N() int { return len(c.sorted) }
 
 // At returns P(X <= x), the fraction of samples less than or equal to x.
 func (c *CDF) At(x float64) float64 {
@@ -134,75 +105,4 @@ func (c *CDF) Quantile(q float64) float64 {
 		i = 0
 	}
 	return c.sorted[i]
-}
-
-// Table evaluates the CDF at each of the given x values, returning a series
-// suitable for printing a paper-style CDF figure.
-func (c *CDF) Table(xs []float64) []Point {
-	pts := make([]Point, len(xs))
-	for i, x := range xs {
-		pts[i] = Point{X: x, Y: c.At(x)}
-	}
-	return pts
-}
-
-// Point is a single (x, y) datum of a printed series.
-type Point struct{ X, Y float64 }
-
-// Histogram counts samples into fixed-width bins over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []uint64
-	Under    uint64 // samples below Lo
-	Over     uint64 // samples at or above Hi
-	NSamples uint64
-}
-
-// NewHistogram creates a histogram with bins fixed-width bins over [lo, hi).
-// It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.NSamples++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) { // guard floating-point edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fraction returns the fraction of all samples that landed in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.NSamples == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.NSamples)
-}
-
-// String renders a compact textual summary.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("Histogram[%g,%g) bins=%d n=%d under=%d over=%d",
-		h.Lo, h.Hi, len(h.Counts), h.NSamples, h.Under, h.Over)
 }

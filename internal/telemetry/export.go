@@ -80,39 +80,6 @@ func WriteMetricsJSONL(w io.Writer, s *Sampler) error {
 	return bw.Flush()
 }
 
-// WriteMetricsCSV writes the sampler's time series as CSV: a header of
-// column names, then one row per tick of cumulative counter values and
-// gauge values.
-func WriteMetricsCSV(w io.Writer, s *Sampler) error {
-	bw := bufio.NewWriter(w)
-	reg := s.Registry()
-
-	bw.WriteString("tick")
-	for _, c := range reg.Counters() {
-		bw.WriteByte(',')
-		bw.WriteString(c.Name())
-	}
-	for _, g := range reg.Gauges() {
-		bw.WriteByte(',')
-		bw.WriteString(g.Name())
-	}
-	bw.WriteByte('\n')
-
-	s.Rows(func(row *SampleRow) {
-		bw.WriteString(strconv.FormatUint(row.Tick, 10))
-		for _, v := range row.Counters {
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatUint(v, 10))
-		}
-		for _, v := range row.Gauges {
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatFloat(v, 'g', 6, 64))
-		}
-		bw.WriteByte('\n')
-	})
-	return bw.Flush()
-}
-
 // WriteTimeline writes the ring as a stable, greppable text timeline,
 // one event per line:
 //

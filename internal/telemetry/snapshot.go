@@ -103,14 +103,6 @@ func NewPublisher(reg *Registry) *Publisher {
 	return &Publisher{reg: reg}
 }
 
-// Registry returns the wrapped registry (writer-side use only).
-func (p *Publisher) Registry() *Registry {
-	if p == nil {
-		return nil
-	}
-	return p.reg
-}
-
 // Pump is the writer's per-boundary check: publish a fresh snapshot iff
 // a reader asked for one since the last publication. The no-reader cost
 // is one atomic load — cheap enough to sit next to Sampler.Sample on
@@ -139,15 +131,6 @@ func (p *Publisher) publish(tick uint64) {
 	p.snap.Store(s)
 }
 
-// Latest returns the most recently published snapshot (nil before the
-// first publication). Safe from any goroutine.
-func (p *Publisher) Latest() *MetricsSnapshot {
-	if p == nil {
-		return nil
-	}
-	return p.snap.Load()
-}
-
 // Fresh raises the want flag and waits up to wait for the writer to
 // pump a new snapshot, then returns the latest one — which is the
 // previous (possibly nil) snapshot when the writer did not come around
@@ -164,24 +147,4 @@ func (p *Publisher) Fresh(wait time.Duration) *MetricsSnapshot {
 		time.Sleep(time.Millisecond)
 	}
 	return p.snap.Load()
-}
-
-// Counter returns the sample with the given name (nil when absent).
-func (s *MetricsSnapshot) Counter(name string) *CounterSample {
-	for i := range s.Counters {
-		if s.Counters[i].Name == name {
-			return &s.Counters[i]
-		}
-	}
-	return nil
-}
-
-// Histogram returns the sample with the given name (nil when absent).
-func (s *MetricsSnapshot) Histogram(name string) *HistogramSample {
-	for i := range s.Histograms {
-		if s.Histograms[i].Name == name {
-			return &s.Histograms[i]
-		}
-	}
-	return nil
 }

@@ -349,6 +349,3 @@ func (r *Ring) Snapshot(dst []Record) []Record {
 	}
 	return dst
 }
-
-// Reset drops every record (the buffer is retained).
-func (r *Ring) Reset() { r.head = 0 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"math"
 	"os"
 	"strings"
@@ -54,10 +53,6 @@ func TestRingOverwrite(t *testing.T) {
 	// Oldest retained record is 200-64 = 136.
 	if recs[0].Tick != 136 || recs[len(recs)-1].Tick != 199 {
 		t.Fatalf("snapshot range [%d, %d], want [136, 199]", recs[0].Tick, recs[len(recs)-1].Tick)
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatalf("len after reset = %d", r.Len())
 	}
 }
 
@@ -265,27 +260,6 @@ func TestSamplerNilEnabled(t *testing.T) {
 	}
 }
 
-func TestWriteMetricsCSV(t *testing.T) {
-	reg := NewRegistry()
-	var a uint64
-	reg.BindCounter("a", &a)
-	reg.GaugeFunc("g", func() float64 { return 1.5 })
-	s := NewSampler(reg, 64)
-	a = 5
-	s.Sample(0)
-	a = 9
-	s.Sample(1)
-
-	var buf bytes.Buffer
-	if err := WriteMetricsCSV(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	want := "tick,a,g\n0,5,1.5\n1,9,1.5\n"
-	if buf.String() != want {
-		t.Fatalf("csv = %q, want %q", buf.String(), want)
-	}
-}
-
 func TestWriteTimeline(t *testing.T) {
 	r := NewRing(64)
 	r.Emit(42, EvMigrateComplete, 512, 1024, 9000)
@@ -436,19 +410,14 @@ func TestExportFiles(t *testing.T) {
 	reg.BindCounter("a", &a)
 	s := NewSampler(reg, 64)
 	s.Sample(1)
-
-	// The CSV series has no artifact constructor; a literal takes the
-	// same durable path.
-	csv := Artifact{dir + "/metrics.csv", func(w io.Writer) error { return WriteMetricsCSV(w, s) }}
 	if err := ExportAll(
 		ChromeTraceArtifact(dir+"/sub/trace.json", r, s),
 		MetricsJSONLArtifact(dir+"/metrics.jsonl", s),
 		TimelineArtifact(dir+"/timeline.txt", r),
-		csv,
 	); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"sub/trace.json", "metrics.jsonl", "timeline.txt", "metrics.csv"} {
+	for _, name := range []string{"sub/trace.json", "metrics.jsonl", "timeline.txt"} {
 		if fi, err := os.Stat(dir + "/" + name); err != nil || fi.Size() == 0 {
 			t.Fatalf("%s not written: %v", name, err)
 		}

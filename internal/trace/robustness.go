@@ -10,8 +10,7 @@ import (
 
 // Robustness is a snapshot of the kernel's failure-handling counters —
 // the observability companion to the fault-injection machinery. The
-// chaos driver takes one per checkpoint; deltas between snapshots show
-// where the failure budget went.
+// chaos driver takes one per checkpoint.
 //
 // The snapshot is derived from the metric registry's TagRobustness set,
 // so the counter names exist in exactly one place: the kernel's
@@ -41,29 +40,6 @@ func (r Robustness) Value(name string) uint64 {
 		}
 	}
 	return 0
-}
-
-// Sub returns the per-counter delta since an earlier snapshot. Both
-// snapshots must come from the same registry schema.
-func (r Robustness) Sub(prev Robustness) Robustness {
-	d := Robustness{names: r.names, vals: make([]uint64, len(r.vals))}
-	for i, v := range r.vals {
-		d.vals[i] = v - prev.Value(r.names[i])
-	}
-	return d
-}
-
-// Equal reports whether two snapshots agree on every counter.
-func (r Robustness) Equal(o Robustness) bool {
-	if len(r.names) != len(o.names) {
-		return false
-	}
-	for i := range r.names {
-		if r.names[i] != o.names[i] || r.vals[i] != o.vals[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the snapshot as one stable, greppable line of

@@ -74,10 +74,6 @@ func NewInjectFS(inner FS, in *fault.Injector, cfg InjectConfig) *InjectFS {
 	return f
 }
 
-// Injector exposes the underlying injector for accounting (hits/fired
-// per point) in reports and tests.
-func (f *InjectFS) Injector() *fault.Injector { return f.in }
-
 // should records one crossing of point for path and reports whether
 // the fault fires.
 func (f *InjectFS) should(point, path string) bool {

@@ -7,7 +7,6 @@ import (
 	"contiguitas/internal/mem"
 	"contiguitas/internal/slab"
 	"contiguitas/internal/stats"
-	"contiguitas/internal/trans"
 )
 
 // Runner drives one simulated kernel with a service profile: every tick
@@ -367,12 +366,6 @@ func (r *Runner) pagesOf(m *kernel.Mapping) uint64 {
 	return n
 }
 
-// userPages returns all frames held as user memory (mappings plus the
-// small-page pool).
-func (r *Runner) userPages() uint64 {
-	return r.mappingPages() + uint64(len(r.small))
-}
-
 // Redeploy simulates a code push: all mappings are torn down and
 // re-faulted.
 func (r *Runner) Redeploy() {
@@ -400,46 +393,4 @@ func (r *Runner) THPCoverage() float64 {
 		return 0
 	}
 	return float64(covered) / float64(total)
-}
-
-// Coverage converts the runner's achieved huge-page backing into the
-// translation model's coverage terms, optionally adding a dynamically
-// allocated 1 GB HugeTLB reservation.
-func (r *Runner) Coverage(huge1G *kernel.HugeTLBResult) trans.Coverage {
-	cov := trans.Coverage{Frac2M: r.THPCoverage()}
-	if huge1G != nil && huge1G.Allocated > 0 {
-		user := r.userPages()
-		if user > 0 {
-			f1g := float64(uint64(huge1G.Allocated)*mem.OrderPages(mem.Order1G)) / float64(user)
-			if f1g > 1 {
-				f1g = 1
-			}
-			cov.Frac1G = f1g
-			cov.Frac2M *= 1 - f1g // 1GB pages replace part of the heap
-		}
-	}
-	return cov
-}
-
-// TearDown frees everything the runner holds.
-func (r *Runner) TearDown() {
-	for _, m := range r.mappings {
-		r.K.FreeMapping(m)
-	}
-	r.mappings = nil
-	r.mappingHeld = 0
-	for _, p := range r.small {
-		r.K.Free(p)
-	}
-	r.small = nil
-	for _, p := range r.unmov {
-		r.K.Unpin(p)
-		r.K.Free(p)
-	}
-	r.unmov = nil
-	r.unmovHeld = 0
-	for _, so := range r.slabObjs {
-		r.slabMgr.Cache(so.cache).Free(so.obj)
-	}
-	r.slabObjs = nil
 }

@@ -23,9 +23,6 @@ type SweepOptions struct {
 	// multiples of machine memory (defaults 0.5 and 2.0).
 	StartFactor float64
 	PeakFactor  float64
-	// Pressure configures the ladder; nil takes pressure.DefaultConfig.
-	// The sweep refuses to run without the ladder — that is the point.
-	Pressure *pressure.Config
 	// OnKernel observes the freshly booted kernel (telemetry attach).
 	OnKernel func(*kernel.Kernel)
 	// Progress, when set, observes each invariant checkpoint.
@@ -71,11 +68,6 @@ func RunPressureSweep(opts SweepOptions) (*SweepReport, error) {
 	if opts.PeakFactor == 0 {
 		opts.PeakFactor = 2.0
 	}
-	pcfg := opts.Pressure
-	if pcfg == nil {
-		pcfg = pressure.DefaultConfig()
-	}
-
 	cfg := kernel.DefaultConfig(kernel.ModeContiguitas)
 	cfg.MemBytes = opts.MemBytes
 	cfg.InitialUnmovableBytes = opts.MemBytes / 8
@@ -83,7 +75,8 @@ func RunPressureSweep(opts SweepOptions) (*SweepReport, error) {
 	cfg.MaxUnmovableBytes = opts.MemBytes / 2
 	cfg.HWMover = kernel.NewAnalyticMover()
 	cfg.Seed = opts.Seed
-	cfg.Pressure = pcfg
+	// The sweep always runs the default ladder — that is the point.
+	cfg.Pressure = pressure.DefaultConfig()
 	k := kernel.New(cfg)
 	// Build the registry up front so the alloc-stall histogram observes
 	// from the first tick even when no tracer is attached.

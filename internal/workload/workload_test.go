@@ -259,9 +259,6 @@ func TestSlabShareDrivenByObjects(t *testing.T) {
 	if held < target/2 || held > target*3 {
 		t.Fatalf("slab pages %d vs share target %d", held, target)
 	}
-	// Fragmentation is emergent: utilization below 100%.
-	util := float64(r.slabMgr.Objects()) / float64(r.slabMgr.PagesHeld()*8)
-	_ = util
 	r.TearDown()
 	if r.slabMgr.PagesHeld() != 0 {
 		t.Fatal("teardown must drain the slab caches")
